@@ -1,7 +1,8 @@
 """Column reduction, the P/Q correspondence, and highest/lowest weight tests.
 
-The recording object Q is a dict mapping boxes (x, y) to the step index at
-which the box disappeared from the shape.
+P is computed on strictly increasing column tuples, converted from and to
+rows once.  The recording object Q is a dict mapping boxes (x, y) to the
+step index at which the box disappeared from the shape.
 """
 
 from __future__ import annotations
@@ -14,75 +15,80 @@ from .crystal import (
     tableau_f_max,
     tableau_phi,
 )
-from .shapes import Partition, part, young_diagram
+from .shapes import Partition, part
 from .tableaux import (
+    Column,
     Rows,
-    column_star,
-    column_to_rows,
-    first_column,
+    columns_of,
+    enumerate_ssyt,
     freeze,
-    is_symplectic,
-    rest_columns,
+    insert_into_columns,
+    rows_of,
     shape,
 )
 
 
-def rem(C: Rows) -> set[int]:
-    """Removable entries of a single column, by the bottom-up recursion.
+def _reduced(col: Column) -> Column:
+    """col without its removable entries, in one pass over prefixes: with v
+    the k-th entry and u the one above, prefix k keeps what prefix k - 2 kept
+    if v is even, u = v - 1 and v < 2k - #rem(prefix k - 2) - 1, else what
+    prefix k - 1 kept, plus v."""
+    before, kept = (), col[:1]
+    for k in range(2, len(col) + 1):
+        v = col[k - 1]
+        pair = v % 2 == 0 and col[k - 2] == v - 1 and v < k + 1 + len(before)
+        before, kept = kept, before if pair else kept + (v,)
+    return kept
 
-    With l the column length, v the last entry and u the one above it:
-    if v is even, u = v - 1, and v < 2l - #rem(C'') - 1 (C'' drops the last
-    two boxes), the pair {u, v} is removed on top of rem(C''); otherwise
-    recurse on C' (drop the last box).
-    """
-    entries = [row[0] for row in C]
-    l = len(entries)
-    if l <= 1:
-        return set()
-    v, u = entries[-1], entries[-2]
-    if v % 2 == 0 and u == v - 1:
-        inner = rem(column_to_rows(entries[:-2]))
-        if v < 2 * l - len(inner) - 1:
-            return inner | {u, v}
-    return rem(column_to_rows(entries[:-1]))
+
+def rem(C: Rows) -> set[int]:
+    """Removable entries of a single column (one box per row)."""
+    return {row[0] for row in C} - set(_reduced(tuple(row[0] for row in C)))
 
 
 def red(C: Rows) -> Rows:
     """C with the boxes carrying removable entries deleted, re-compacted."""
-    removed = rem(C)
-    return [[row[0]] for row in C if row[0] not in removed]
+    return [[e] for e in _reduced(tuple(row[0] for row in C))]
+
+
+def _reduction(T: Rows, limit: int | None = None) -> tuple[list[Column], dict, int]:
+    """The suc loop on the columns of T: (P, Q, steps) at the first fixed
+    point, with steps counting the steps that changed the tableau and Q read
+    from the change in column lengths.  A limit stops the loop after that
+    many steps; without one, more than |T| + 1 steps raise RuntimeError."""
+    cols = columns_of(T)
+    Q: dict[tuple[int, int], int] = {}
+    budget = sum(map(len, cols)) + 1
+    for step in range(budget + 1 if limit is None else limit):
+        # With nothing removable, suc(T) = C * rest = T: the fixed point.
+        if not cols or len(kept := _reduced(cols[0])) == len(cols[0]):
+            return cols, Q, step
+        rest = cols[1:]
+        for m in kept:
+            insert_into_columns(m, rest)
+        for x, col in enumerate(cols):
+            for y in range(len(rest[x]) if x < len(rest) else 0, len(col)):
+                Q[x + 1, y + 1] = step + 1
+        cols = rest
+    if limit is None:
+        raise RuntimeError("suc did not stabilize within the size budget")
+    return cols, Q, limit
 
 
 def suc(T: Rows) -> Rows:
     """Reduce the first column and column-insert it back into the rest."""
-    if not T:
-        return []
-    return column_star(red(column_to_rows(first_column(T))), rest_columns(T))
+    return rows_of(_reduction(T, 1)[0])
 
 
 def p_aii(T: Rows) -> Rows:
-    """Iterate suc to its fixed point (a symplectic tableau)."""
-    budget = sum(shape(T)) + 1
-    for _ in range(budget + 1):
-        nxt = suc(T)
-        if nxt == T:
-            return T
-        T = nxt
-    raise RuntimeError("suc did not stabilize within the size budget")
+    """Iterate suc to its fixed point (a symplectic tableau); ValueError
+    unless T is semistandard."""
+    return rows_of(_reduction(T)[0])
 
 
 def q_aii(T: Rows) -> dict[tuple[int, int], int]:
     """Map each box that suc-iteration removes to the step that removed it."""
-    record: dict[tuple[int, int], int] = {}
-    step = 0
-    while True:
-        nxt = suc(T)
-        if nxt == T:
-            return record
-        step += 1
-        for box in young_diagram(shape(T)) - young_diagram(shape(nxt)):
-            record[box] = step
-        T = nxt
+    return _reduction(T)[1]
 
 
 def lr_aii_partition(lam: Partition, n: int):
@@ -91,13 +97,11 @@ def lr_aii_partition(lam: Partition, n: int):
     Returns a dict mu -> list of (T, P, Q).  Raises if two tableaux share
     the same (P, Q) pair.
     """
-    from .tableaux import enumerate_ssyt
-
     classes: dict[Partition, list] = {}
     seen = set()
     for T in enumerate_ssyt(lam, 2 * n):
-        P = p_aii(T)
-        Q = q_aii(T)
+        cols, Q, _ = _reduction(T)
+        P = rows_of(cols)
         key = (freeze(P), frozenset(Q.items()))
         if key in seen:
             raise RuntimeError(f"(P, Q) collision at {T}")
@@ -118,16 +122,24 @@ def b_staircase(mu: Partition, n: int) -> Rows:
     return [[b[y - 1]] * part(mu, y) for y in range(1, len(mu) + 1)]
 
 
+def staircase_flags(P: Rows, a: Column, b: Column) -> tuple[bool, bool]:
+    """Whether P has row y constantly a_y, resp. b_y: every column of P is the
+    prefix of a (resp. b) of its length.  With all rows constant, the first
+    column decides, and no staircase tableau is built."""
+    if any(row[0] != row[-1] for row in P):
+        return False, False
+    first = tuple(row[0] for row in P)
+    return first == a[: len(first)], first == b[: len(first)]
+
+
 def is_k_highest(T: Rows, n: int) -> bool:
     """True iff P has row y constantly a_y."""
-    P = p_aii(T)
-    return P == a_staircase(shape(P), n)
+    return staircase_flags(p_aii(T), *ab_sequences(n))[0]
 
 
 def is_k_lowest(T: Rows, n: int) -> bool:
     """True iff P has row y constantly b_y."""
-    P = p_aii(T)
-    return P == b_staircase(shape(P), n)
+    return staircase_flags(p_aii(T), *ab_sequences(n))[1]
 
 
 def p_aii_range(T: Rows, a: int, b: int) -> Rows:

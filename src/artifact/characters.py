@@ -10,7 +10,7 @@ from functools import cache
 
 from .crystal import wt_ghat
 from .shapes import Partition, canonical
-from .tableaux import count_entry, enumerate_spt, enumerate_ssyt
+from .tableaux import content, enumerate_spt, enumerate_ssyt
 
 Character = dict[tuple[int, ...], int]
 
@@ -33,7 +33,8 @@ def restricted_gl_character(lam: Partition, n: int) -> Character:
 
 def sp_weight(T, n: int) -> tuple[int, ...]:
     """Coordinate i is T[2i-1] - T[2i]."""
-    return tuple(count_entry(T, 2 * i - 1) - count_entry(T, 2 * i) for i in range(1, n + 1))
+    c = content(T, 2 * n)
+    return tuple(c[i] - c[i + 1] for i in range(0, 2 * n, 2))
 
 
 @cache

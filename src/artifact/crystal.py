@@ -8,19 +8,20 @@ act on the surviving letters.
 from __future__ import annotations
 
 from .shapes import Partition
-from .tableaux import Rows, count_entry, inverse_column_word, row_word, validate_ssyt
+from .tableaux import Rows, content, inverse_column_word, row_word, validate_ssyt
 
 Word = list[int]
 
 
 def wt_gl(T: Rows, N: int) -> tuple[int, ...]:
     """Entry counts (T[1], ..., T[N])."""
-    return tuple(count_entry(T, m) for m in range(1, N + 1))
+    return content(T, N)
 
 
 def wt_ghat(T: Rows, n: int) -> tuple[int, ...]:
     """Coordinate i is T[i] - T[2n - i + 1]."""
-    return tuple(count_entry(T, i) - count_entry(T, 2 * n - i + 1) for i in range(1, n + 1))
+    c = content(T, 2 * n)
+    return tuple(c[i] - c[-1 - i] for i in range(n))
 
 
 def ab_sequences(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -33,7 +34,8 @@ def ab_sequences(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def wt_k(T: Rows, n: int) -> tuple[int, ...]:
     """Coordinate k is T[a_k] - T[b_k]."""
     a, b = ab_sequences(n)
-    return tuple(count_entry(T, a[k]) - count_entry(T, b[k]) for k in range(n))
+    c = content(T, 2 * n)
+    return tuple(c[a[k] - 1] - c[b[k] - 1] for k in range(n))
 
 
 def _signature(word: Word, i: int) -> tuple[list[int], list[int]]:

@@ -1,16 +1,21 @@
 """Semistandard tableaux: validation, reading words, insertion, enumeration.
 
 A straight-shape tableau is a list of rows, each row a list of entries,
-rows top to bottom, row lengths weakly decreasing.
+rows top to bottom, row lengths weakly decreasing.  Column insertion works
+on the columns instead: a list of strictly increasing tuples, left to right.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import zip_longest
+from operator import le, lt
 from typing import Iterator
 
 from .shapes import Partition, canonical
 
 Rows = list[list[int]]
+Column = tuple[int, ...]
 
 
 def shape(T: Rows) -> Partition:
@@ -28,20 +33,17 @@ def thaw(frozen) -> Rows:
 
 
 def validate_ssyt(T: Rows) -> bool:
-    """Rows weakly increase left to right, columns strictly increase downward."""
-    lengths = [len(row) for row in T]
-    if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
+    """Rows are non-empty, weakly increase and weakly decrease in length,
+    columns strictly increase downward, and entries are at least 1.  One
+    pass over adjacent rows: given the rest, T[1][1] >= 1 bounds every entry."""
+    if T and (not T[0] or T[0][0] < 1 or not all(map(le, T[0], T[0][1:]))):
         return False
-    if any(not row for row in T):
-        return False
-    for row in T:
-        if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
+    for above, row in zip(T, T[1:]):
+        if not row or len(above) < len(row):
             return False
-    for i in range(len(T) - 1):
-        for j in range(len(T[i + 1])):
-            if T[i][j] >= T[i + 1][j]:
-                return False
-    return all(e >= 1 for row in T for e in row)
+        if not (all(map(le, row, row[1:])) and all(map(lt, above, row))):
+            return False
+    return True
 
 
 def count_entry(T: Rows, m: int) -> int:
@@ -50,12 +52,14 @@ def count_entry(T: Rows, m: int) -> int:
 
 
 def content(T: Rows, m: int) -> tuple[int, ...]:
-    """Entry counts (T[1], ..., T[m])."""
-    counts = [0] * m
+    """Entry counts (T[1], ..., T[m]) in one pass; entries outside [1, m]
+    are not counted, as by count_entry."""
+    counts = [0] * (m + 1)
     for row in T:
         for e in row:
-            counts[e - 1] += 1
-    return tuple(counts)
+            if 0 < e <= m:
+                counts[e] += 1
+    return tuple(counts[1:])
 
 
 def row_word(T: Rows) -> list[int]:
@@ -107,27 +111,52 @@ def knuth_equivalent(w1, w2) -> bool:
     return insertion_tableau(w1) == insertion_tableau(w2)
 
 
+def columns_of(T: Rows) -> list[Column]:
+    """Columns of T, each top to bottom; ValueError unless T is semistandard."""
+    if not validate_ssyt(T):
+        raise ValueError(f"not a semistandard tableau: {T}")
+    return [col[: col.index(None)] if None in col else col for col in zip_longest(*T)]
+
+
+def rows_of(cols: list[Column]) -> Rows:
+    """The rows of the tableau with the given columns."""
+    return [list(row[: row.index(None)] if None in row else row) for row in zip_longest(*cols)]
+
+
+def box_fits(cols: list[Column], x: int, y: int) -> bool:
+    """Whether box (x, y), 0-based column and row, is positive, has a box to
+    its left and is in order with its four neighbours.  When no other box
+    breaks semistandardness, this is validate_ssyt."""
+    col = cols[x]
+    v = col[y]
+    if v < 1 or (y and col[y - 1] >= v) or (y + 1 < len(col) and col[y + 1] <= v):
+        return False
+    if x and (len(cols[x - 1]) <= y or cols[x - 1][y] > v):
+        return False
+    return x + 1 == len(cols) or len(cols[x + 1]) <= y or cols[x + 1][y] >= v
+
+
+def insert_into_columns(m: int, cols: list[Column]) -> None:
+    """Column-insert m into semistandard columns in place, bumping the topmost
+    entry >= m of each column; ValueError if a changed box does not fit."""
+    path = []
+    for x, col in enumerate(cols):
+        y = bisect_left(col, m)
+        path.append(y)
+        if y == len(col):
+            cols[x] = col + (m,)
+            break
+        cols[x], m = col[:y] + (m,) + col[y + 1 :], col[y]
+    else:
+        cols.append((m,))
+        path.append(0)
+    if not all(box_fits(cols, x, y) for x, y in enumerate(path)):
+        raise ValueError("column insertion produced an invalid tableau")
+
+
 def column_insert(m: int, T: Rows) -> Rows:
     """Column-insert m into T: bump the topmost entry >= m of each column."""
-    out = [list(row) for row in T]
-    x = 0
-    while True:
-        placed = False
-        for y in range(len(out)):
-            if len(out[y]) > x and out[y][x] >= m:
-                out[y][x], m = m, out[y][x]
-                placed = True
-                break
-        if not placed:
-            if x == 0:
-                out.append([m])
-            else:
-                y = sum(1 for row in out if len(row) > x)
-                out[y].append(m)
-            if not validate_ssyt(out):
-                raise ValueError("column insertion produced an invalid tableau")
-            return out
-        x += 1
+    return column_star([[m]], T)
 
 
 def column_star(C: Rows, S: Rows) -> Rows:
@@ -137,10 +166,10 @@ def column_star(C: Rows, S: Rows) -> Rows:
     """
     if any(len(row) != 1 for row in C):
         raise ValueError("C is not a single column")
-    out = [list(row) for row in S]
+    cols = columns_of(S)
     for row in C:
-        out = column_insert(row[0], out)
-    return out
+        insert_into_columns(row[0], cols)
+    return rows_of(cols)
 
 
 def first_column(T: Rows) -> list[int]:

@@ -8,9 +8,9 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .branching import a_staircase, b_staircase, is_k_highest, is_k_lowest, p_aii
+from .branching import p_aii, staircase_flags
 from .characters import decompose, restricted_gl_character, sp_character
-from .crystal import is_ghat_dominant, wt_ghat, wt_k
+from .crystal import ab_sequences, is_ghat_dominant, wt_ghat, wt_k
 from .promotion import phi, pr, pr_inv, psi
 from .shapes import Partition, canonical, enumerate_partitions, format_partition
 from .tableaux import Rows, enumerate_ssyt, freeze, shape
@@ -69,18 +69,21 @@ def verify_shape(lam: Partition, n: int) -> VerificationReport:
     klw: dict[tuple, int] = {}
     rec: dict[tuple, int] = {}
     total = 0
+    a, b = ab_sequences(n)
     for T in enumerate_ssyt(lam, 2 * n):
         total += 1
         if is_ghat_dominant(T, n):
             key = _tally_key(wt_ghat(T, n))
             g_dom[key] = g_dom.get(key, 0) + 1
         P = p_aii(T)
-        mu = shape(P)
-        if P == a_staircase(mu, n):
+        highest, lowest = staircase_flags(P, a, b)
+        if highest:
             key = _tally_key(wt_k(T, n))
             khw[key] = khw.get(key, 0) + 1
+            mu = shape(P)
             rec[mu] = rec.get(mu, 0) + 1
-        if P == b_staircase(mu, n):
+        if lowest:
+            mu = shape(P)
             klw[mu] = klw.get(mu, 0) + 1
     oracle = decompose(restricted_gl_character(lam, n), n)
     universe = sorted(set(g_dom) | set(khw) | set(klw) | set(rec) | set(oracle))
@@ -158,12 +161,14 @@ def bijection_suite(lam: Partition, n: int) -> SuiteResult:
     dominant = []
     highest = set()
     lowest = set()
+    a, b = ab_sequences(n)
     for T in enumerate_ssyt(lam, 2 * n):
         if is_ghat_dominant(T, n):
             dominant.append(T)
-        if is_k_highest(T, n):
+        is_highest, is_lowest = staircase_flags(p_aii(T), a, b)
+        if is_highest:
             highest.add(freeze(T))
-        if is_k_lowest(T, n):
+        if is_lowest:
             lowest.add(freeze(T))
     phi_images = set()
     psi_images = set()

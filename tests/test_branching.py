@@ -1,6 +1,7 @@
 """Column reduction, the P/Q correspondence, and the rank-2 closed forms."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artifact.branching import (
     a_staircase,
@@ -19,19 +20,97 @@ from artifact.branching import (
     q_aii,
     red,
     rem,
+    staircase_flags,
     suc,
 )
 from artifact.characters import branching_multiplicity
-from artifact.crystal import is_ghat_dominant
-from artifact.shapes import enumerate_partitions
+from artifact.crystal import ab_sequences, is_ghat_dominant
+from artifact.shapes import enumerate_partitions, young_diagram
 from artifact.tableaux import (
+    column_insert,
     column_to_rows,
     enumerate_spt,
     enumerate_ssyt,
+    first_column,
     freeze,
     is_symplectic,
+    rest_columns,
     shape,
+    validate_ssyt,
 )
+from artifact.verify import random_ssyt
+
+
+# Reference implementation: the former row-based column insertion, the
+# doubly recursive rem, and the suc loop they fed.
+
+
+def _ref_column_insert(m, T):
+    out = [list(row) for row in T]
+    x = 0
+    while True:
+        placed = False
+        for y in range(len(out)):
+            if len(out[y]) > x and out[y][x] >= m:
+                out[y][x], m = m, out[y][x]
+                placed = True
+                break
+        if not placed:
+            if x == 0:
+                out.append([m])
+            else:
+                y = sum(1 for row in out if len(row) > x)
+                out[y].append(m)
+            if not validate_ssyt(out):
+                raise ValueError("column insertion produced an invalid tableau")
+            return out
+        x += 1
+
+
+def _ref_rem(C):
+    entries = [row[0] for row in C]
+    l = len(entries)
+    if l <= 1:
+        return set()
+    v, u = entries[-1], entries[-2]
+    if v % 2 == 0 and u == v - 1:
+        inner = _ref_rem(column_to_rows(entries[:-2]))
+        if v < 2 * l - len(inner) - 1:
+            return inner | {u, v}
+    return _ref_rem(column_to_rows(entries[:-1]))
+
+
+def _ref_suc(T):
+    if not T:
+        return []
+    C = column_to_rows(first_column(T))
+    removed = _ref_rem(C)
+    out = rest_columns(T)
+    for row in C:
+        if row[0] not in removed:
+            out = _ref_column_insert(row[0], out)
+    return out
+
+
+def _ref_p_q(T):
+    """(suc(T), P, Q) by iterating the reference suc."""
+    first = _ref_suc(T)
+    record = {}
+    step = 0
+    nxt = first
+    while nxt != T:
+        step += 1
+        for box in young_diagram(shape(T)) - young_diagram(shape(nxt)):
+            record[box] = step
+        T, nxt = nxt, _ref_suc(nxt)
+    return first, T, record
+
+
+def _assert_matches_reference(T):
+    ref_suc, ref_p, ref_q = _ref_p_q(T)
+    assert suc(T) == ref_suc, T
+    assert p_aii(T) == ref_p, T
+    assert q_aii(T) == ref_q, T
 
 
 def test_rem_goldens():
@@ -39,6 +118,21 @@ def test_rem_goldens():
     assert rem(column_to_rows([1, 2, 4])) == {1, 2}
     assert rem(column_to_rows([1])) == set()
     assert rem([]) == set()
+
+
+def test_column_insert_matches_reference():
+    for lam in enumerate_partitions(6, 5):
+        for T in enumerate_ssyt(lam, 5):
+            for m in range(1, 7):
+                assert column_insert(m, T) == _ref_column_insert(m, T), (m, T)
+
+
+def test_rem_matches_recursive_reference():
+    for lam in enumerate_partitions(8, 8):
+        if len(lam) == sum(lam):
+            for T in enumerate_ssyt(lam, 8):
+                assert rem(T) == _ref_rem(T), T
+                assert red(T) == [row for row in T if row[0] not in _ref_rem(T)], T
 
 
 def test_red_goldens():
@@ -60,6 +154,34 @@ def test_suc_fixes_exactly_the_symplectic_tableaux():
     for lam in enumerate_partitions(3, 6):
         for T in enumerate_ssyt(lam, 6):
             assert (suc(T) == T) == is_symplectic(T)
+
+
+def test_kernel_matches_reference_exhaustively():
+    """suc, P and Q agree with the row-based reference on every tableau
+    with at most 7 boxes, in ranks 2 and 3."""
+    for n in (2, 3):
+        for lam in enumerate_partitions(7, 2 * n):
+            for T in enumerate_ssyt(lam, 2 * n):
+                _assert_matches_reference(T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 12))
+def test_kernel_matches_reference_rank4(rng, size):
+    """The same on random tableaux over [1, 8] of up to 12 boxes."""
+    shapes = [lam for lam in enumerate_partitions(size, 8) if sum(lam) == size]
+    _assert_matches_reference(random_ssyt(rng.choice(shapes), 8, rng))
+
+
+def test_p_aii_rejects_non_semistandard_input():
+    with pytest.raises(ValueError):
+        p_aii([[2, 1]])
+    with pytest.raises(ValueError):
+        p_aii([[3], [1]])
+    with pytest.raises(ValueError):
+        q_aii([[1], [2, 2]])
+    with pytest.raises(ValueError):
+        suc([[0]])
 
 
 def test_p_aii_lands_on_symplectic():
@@ -88,6 +210,15 @@ def test_staircases():
     assert b_staircase((2, 1), 2) == [[1, 1], [4]]
     assert a_staircase((1, 1, 1), 3) == [[2], [3], [6]]
     assert b_staircase((1, 1, 1), 3) == [[1], [4], [5]]
+
+
+def test_staircase_flags_match_staircases():
+    for n in (2, 3):
+        a, b = ab_sequences(n)
+        for lam in enumerate_partitions(6, n):
+            for P in enumerate_spt(lam, n):
+                flags = staircase_flags(P, a, b)
+                assert flags == (P == a_staircase(lam, n), P == b_staircase(lam, n)), P
 
 
 def test_highest_lowest_flags():

@@ -24,8 +24,9 @@ from artifact.crystal import (
     wt_gl,
     wt_k,
 )
+from artifact.characters import sp_weight
 from artifact.shapes import enumerate_partitions
-from artifact.tableaux import enumerate_ssyt, freeze, validate_ssyt
+from artifact.tableaux import count_entry, enumerate_ssyt, freeze, validate_ssyt
 
 
 def test_convention_pins():
@@ -155,3 +156,19 @@ def test_dominant_tableaux_have_dominant_weight():
             if is_ghat_dominant(T, 2):
                 w = wt_ghat(T, 2)
                 assert w[0] >= w[1] >= 0
+
+
+def test_weight_maps_match_entry_counts():
+    """Each weight map equals its count_entry formula, also when entries
+    exceed 2n and are therefore not counted."""
+    for n in (2, 3):
+        a, b = ab_sequences(n)
+        for lam in ((1,), (2, 1), (2, 2), (3, 1, 1), (2, 2, 1, 1)):
+            for T in enumerate_ssyt(lam, 2 * n + 2):
+                c = lambda m: count_entry(T, m)
+                assert wt_gl(T, 2 * n) == tuple(c(m) for m in range(1, 2 * n + 1))
+                assert wt_ghat(T, n) == tuple(c(i) - c(2 * n - i + 1) for i in range(1, n + 1))
+                assert wt_k(T, n) == tuple(c(a[k]) - c(b[k]) for k in range(n))
+                assert sp_weight(T, n) == tuple(c(2 * i - 1) - c(2 * i) for i in range(1, n + 1))
+    assert wt_ghat([[1, 7]], 2) == (1, 0)
+    assert wt_gl([[1, 7]], 4) == (1, 0, 0, 0)

@@ -3,12 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from artifact.shapes import enumerate_partitions
 from artifact.tableaux import (
+    box_fits,
     column_insert,
     column_star,
     column_to_rows,
+    columns_of,
     content,
     count_entry,
     enumerate_spt,
@@ -21,6 +24,7 @@ from artifact.tableaux import (
     knuth_equivalent,
     rest_columns,
     row_word,
+    rows_of,
     schensted_insert,
     shape,
     thaw,
@@ -35,6 +39,23 @@ def test_shape_and_freeze():
     assert freeze([]) == ()
 
 
+def _validate_ssyt_reference(T):
+    """The former multi-pass body of validate_ssyt."""
+    lengths = [len(row) for row in T]
+    if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
+        return False
+    if any(not row for row in T):
+        return False
+    for row in T:
+        if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
+            return False
+    for i in range(len(T) - 1):
+        for j in range(len(T[i + 1])):
+            if T[i][j] >= T[i + 1][j]:
+                return False
+    return all(e >= 1 for row in T for e in row)
+
+
 def test_validate_ssyt():
     assert validate_ssyt([[1, 1, 2], [2, 3]])
     assert validate_ssyt([])
@@ -42,6 +63,13 @@ def test_validate_ssyt():
     assert not validate_ssyt([[1, 2], [1]])     # column not strict
     assert not validate_ssyt([[1], [2, 2]])     # lengths increase
     assert not validate_ssyt([[0]])             # entries start at 1
+    assert not validate_ssyt([[1], []])         # empty row
+    assert not validate_ssyt([[1, 2], [3, -1]]) # negative entry below
+
+
+@given(st.lists(st.lists(st.integers(-1, 6), max_size=5), max_size=5))
+def test_validate_ssyt_matches_reference(T):
+    assert validate_ssyt(T) == _validate_ssyt_reference(T)
 
 
 def test_row_word():
@@ -82,6 +110,45 @@ def test_column_star_requires_single_column():
         column_star([[1, 2]], [])
 
 
+def test_column_insert_rejects_bad_input():
+    with pytest.raises(ValueError):
+        column_insert(1, [[2, 1]])
+    with pytest.raises(ValueError):
+        column_star([[1]], [[3], [1]])
+    with pytest.raises(ValueError):
+        column_insert(0, [[1, 2]])
+
+
+def _verdict(cols):
+    """validate_ssyt on a column list; a column longer than the one to its
+    left leaves a hole, which no row list can hold."""
+    lengths = [len(col) for col in cols]
+    return lengths == sorted(lengths, reverse=True) and validate_ssyt(rows_of(cols))
+
+
+def test_box_fits_is_validate_ssyt_on_single_box_changes():
+    """The local check of column insertion agrees with validate_ssyt on every
+    single-box change or appended box of every tableau with at most 5 boxes
+    over [1, 4], for values 0..5."""
+    checked = 0
+    for lam in enumerate_partitions(5, 4):
+        for T in enumerate_ssyt(lam, 4):
+            cols = columns_of(T)
+            assert rows_of(cols) == T
+            for v in range(6):
+                for x in range(len(cols) + 1):
+                    col = cols[x] if x < len(cols) else ()
+                    for y in range(len(col) + 1):
+                        changed = list(cols)
+                        if x == len(cols):
+                            changed.append((v,))
+                        else:
+                            changed[x] = col[:y] + (v,) + col[y + 1 :]
+                        assert box_fits(changed, x, y) == _verdict(changed), (T, x, y, v)
+                        checked += 1
+    assert checked > 20000
+
+
 def test_star_reassembles_every_tableau():
     for lam in enumerate_partitions(6, 4):
         for T in enumerate_ssyt(lam, 4):
@@ -101,6 +168,8 @@ def test_content_counts():
     T = [[1, 1, 2], [2, 3]]
     assert count_entry(T, 2) == 2
     assert content(T, 4) == (2, 2, 1, 0)
+    assert content(T, 1) == (2,)
+    assert content([[-1, 0, 1, 3]], 2) == (1, 0)
 
 
 def test_symplectic_counts():
