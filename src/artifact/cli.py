@@ -11,8 +11,9 @@ import argparse
 import json
 import sys
 
-from .branching import is_k_highest, is_k_lowest, p_aii, q_aii
+from .branching import _reduction, staircase_flags
 from .crystal import (
+    ab_sequences,
     ghat_dominance_violation,
     tableau_eps,
     tableau_phi,
@@ -21,7 +22,7 @@ from .crystal import (
 )
 from .promotion import phi_factors, pr, psi_factors
 from .shapes import format_partition, parse_partition
-from .tableaux import Rows, inverse_column_word, validate_ssyt
+from .tableaux import Rows, inverse_column_word, rows_of, validate_ssyt
 from .verify import (
     BudgetExceeded,
     SuiteResult,
@@ -131,6 +132,10 @@ def cmd_branch(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_size < 1:
+        raise UsageError("--max-size must be positive")
+    if args.budget is not None and args.budget < 1:
+        raise UsageError("--budget must be positive")
     reports = verify_sweep(args.n, args.max_size, budget=args.budget)
     suite = SuiteResult()
     for report in reports:
@@ -170,8 +175,9 @@ def cmd_show(args) -> int:
     n = args.n
     if any(e > 2 * n for row in T for e in row):
         raise UsageError(f"entries exceed {2 * n}")
-    P = p_aii(T)
-    Q = q_aii(T)
+    cols, Q, _ = _reduction(T)
+    P = rows_of(cols)
+    k_highest, k_lowest = staircase_flags(P, *ab_sequences(n))
     if args.json:
         payload = {
             "tableau": T,
@@ -180,8 +186,8 @@ def cmd_show(args) -> int:
                 {"box": [x, y], "step": j}
                 for (x, y), j in sorted(Q.items(), key=lambda kv: (kv[1], kv[0][1], kv[0][0]))
             ],
-            "k_highest": is_k_highest(T, n),
-            "k_lowest": is_k_lowest(T, n),
+            "k_highest": k_highest,
+            "k_lowest": k_lowest,
             "wt_ghat": list(wt_ghat(T, n)),
             "wt_k": list(wt_k(T, n)),
             "ghat_dominant": ghat_dominance_violation(T, n) is None,
@@ -197,8 +203,8 @@ def cmd_show(args) -> int:
         print("(empty)")
     for (x, y), j in sorted(Q.items(), key=lambda kv: (kv[1], kv[0][1], kv[0][0])):
         print(f"step {j}: box ({x},{y})")
-    print(f"k_highest: {is_k_highest(T, n)}")
-    print(f"k_lowest: {is_k_lowest(T, n)}")
+    print(f"k_highest: {k_highest}")
+    print(f"k_lowest: {k_lowest}")
     print(f"wt_ghat: {wt_ghat(T, n)}")
     print(f"wt_k: {wt_k(T, n)}")
     violation = ghat_dominance_violation(T, n)

@@ -2,7 +2,7 @@
 bijections built from promotion composites.
 
 Skew and ragged tableaux are dicts mapping boxes (x, y) to an entry, with
-None marking a hole.
+None marking a hole; promotion and its inverse slide on the rows directly.
 """
 
 from __future__ import annotations
@@ -17,20 +17,18 @@ def cells_from_rows(T: Rows) -> Cells:
 
 
 def rows_from_cells(cells: Cells) -> Rows:
-    """Convert a straight-shape support back to rows; reject ragged supports."""
-    if not cells:
-        return []
-    height = max(y for _, y in cells)
+    """Convert a straight-shape support back to rows in one pass over the
+    cells; reject ragged supports."""
+    by_row: dict[int, dict[int, int | None]] = {}
+    for (x, y), e in cells.items():
+        by_row.setdefault(y, {})[x] = e
     rows: Rows = []
-    for y in range(1, height + 1):
-        width = sum(1 for box in cells if box[1] == y)
-        row = []
-        for x in range(1, width + 1):
-            if (x, y) not in cells:
-                raise ValueError("support is not left-justified")
-            row.append(cells[(x, y)])
-        rows.append(row)
-    if any(len(rows[i]) < len(rows[i + 1]) for i in range(len(rows) - 1)):
+    for y in range(1, max(by_row, default=0) + 1):
+        row = by_row.get(y, {})
+        if not all(x in row for x in range(1, len(row) + 1)):
+            raise ValueError("support is not left-justified")
+        rows.append([row[x] for x in range(1, len(row) + 1)])
+    if any(len(above) < len(row) for above, row in zip(rows, rows[1:])):
         raise ValueError("support is not a partition shape")
     if any(e is None for row in rows for e in row):
         raise ValueError("holes remain")
@@ -56,32 +54,6 @@ def _slide_forward(cells: Cells, start: tuple[int, int]) -> tuple[int, int]:
         else:
             go_right = rv is not None
         nxt = (x + 1, y) if go_right else (x, y + 1)
-        cells[(x, y)], cells[nxt] = cells[nxt], cells[(x, y)]
-        x, y = nxt
-
-
-def _slide_reverse(cells: Cells, start: tuple[int, int], blocked: int | None = None) -> tuple[int, int]:
-    """Slide the box at start toward the inside (left/up), mutating cells.
-
-    With both neighbors present it moves left iff the left entry is
-    strictly larger, otherwise up.  Cells holding the blocked value are
-    not swap targets: a traveler that already settled must not be dragged
-    along by a later one.  Returns the final box.
-    """
-    x, y = start
-    while True:
-        lv = cells.get((x - 1, y))
-        av = cells.get((x, y - 1))
-        if blocked is not None:
-            lv = None if lv == blocked else lv
-            av = None if av == blocked else av
-        if lv is None and av is None:
-            return (x, y)
-        if lv is not None and av is not None:
-            go_left = lv > av
-        else:
-            go_left = lv is not None
-        nxt = (x - 1, y) if go_left else (x, y - 1)
         cells[(x, y)], cells[nxt] = cells[nxt], cells[(x, y)]
         x, y = nxt
 
@@ -148,58 +120,91 @@ def res(T: Rows, a: int, b: int, c: int, d: int) -> Rows:
     return rect(cells)
 
 
-def pr_inv(T: Rows, a: int, b: int) -> Rows:
-    """Inverse promotion on the letter window [a, b].
+def _check_window(a: int, b: int) -> None:
+    if not 1 <= a <= b:
+        raise ValueError(f"promotion window [{a}, {b}] needs 1 <= a <= b")
 
-    Entries a become b and slide outward; the other in-window entries
-    decrease by 1.  Out-of-window boxes are untouched.
+
+def pr_inv(T: Rows, a: int, b: int) -> Rows:
+    """Inverse promotion on the letter window [a, b]; T must be semistandard.
+
+    Entries a become b and slide outward, rightmost first; the other
+    in-window entries decrease by 1.  Out-of-window boxes are untouched.
+    After the shift the in-window entries are exactly the ones <= b to the
+    right of or below an in-window box, so a traveler swaps with such a
+    neighbor: the smaller one, below on a tie.
     """
+    _check_window(a, b)
+    U = [list(row) for row in T]
     if a == b:
-        return [list(row) for row in T]
-    full = cells_from_rows(T)
-    window = {box for box, e in full.items() if a <= e <= b}
-    work: Cells = {}
+        return U
     movers = []
-    for box in window:
-        if full[box] == a:
-            work[box] = b
-            movers.append(box)
-        else:
-            work[box] = full[box] - 1
+    for y, row in enumerate(U):
+        for x, e in enumerate(row):
+            if e == a:
+                row[x] = b
+                movers.append((x, y))
+            elif a < e <= b:
+                row[x] = e - 1
     movers.sort(key=lambda box: (-box[0], box[1]))
-    for box in movers:
-        _slide_forward(work, box)
-    out = dict(full)
-    out.update(work)
-    result = rows_from_cells(out)
-    if not validate_ssyt(result):
+    for x, y in movers:
+        while True:
+            row = U[y]
+            below = U[y + 1] if y + 1 < len(U) else ()
+            rv = row[x + 1] if x + 1 < len(row) and row[x + 1] <= b else None
+            bv = below[x] if x < len(below) and below[x] <= b else None
+            if rv is not None and (bv is None or rv < bv):
+                row[x] = rv
+                x += 1
+            elif bv is not None:
+                row[x] = bv
+                y += 1
+            else:
+                row[x] = b
+                break
+    if not validate_ssyt(U):
         raise ValueError("inverse promotion broke semistandardness")
-    return result
+    return U
 
 
 def pr(T: Rows, a: int, b: int) -> Rows:
     """Promotion on the letter window [a, b]; two-sided inverse of pr_inv.
+    T must be semistandard: the result is unspecified otherwise.
 
-    Entries b slide inward and become a; the other in-window entries
-    increase by 1.
+    Entries b slide inward, leftmost first, and become a; the other
+    in-window entries increase by 1.  The in-window entries are exactly the
+    ones >= a to the left of or above an in-window box, so a traveler swaps
+    with a neighbor in [a, b): the larger one, above on a tie.  A b that
+    already settled is no target, so a later traveler cannot drag it along.
     """
+    _check_window(a, b)
+    U = [list(row) for row in T]
     if a == b:
-        return [list(row) for row in T]
-    full = cells_from_rows(T)
-    window = {box for box, e in full.items() if a <= e <= b}
-    work: Cells = {box: full[box] for box in window}
-    movers = [box for box in window if full[box] == b]
+        return U
+    movers = [(x, y) for y, row in enumerate(U) for x, e in enumerate(row) if e == b]
     movers.sort(key=lambda box: (box[0], -box[1]))
-    for box in movers:
-        _slide_reverse(work, box, blocked=b)
-    for box in work:
-        work[box] = a if work[box] == b else work[box] + 1
-    out = dict(full)
-    out.update(work)
-    result = rows_from_cells(out)
-    if not validate_ssyt(result):
+    for x, y in movers:
+        while True:
+            row = U[y]
+            above = U[y - 1] if y else ()
+            lv = row[x - 1] if x and a <= row[x - 1] < b else None
+            av = above[x] if x < len(above) and a <= above[x] < b else None
+            if lv is not None and (av is None or lv > av):
+                row[x] = lv
+                x -= 1
+            elif av is not None:
+                row[x] = av
+                y -= 1
+            else:
+                row[x] = b
+                break
+    for row in U:
+        for x, e in enumerate(row):
+            if a <= e <= b:
+                row[x] = a if e == b else e + 1
+    if not validate_ssyt(U):
         raise ValueError("promotion broke semistandardness")
-    return result
+    return U
 
 
 def phi_factors(n: int) -> list[tuple[int, int]]:

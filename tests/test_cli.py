@@ -68,6 +68,15 @@ def test_verify_budget(capsys):
     assert main(["verify", "--n", "2", "--max-size", "3", "--budget", "1"]) == EXIT_BUDGET
 
 
+def test_verify_rejects_non_positive_bounds(capsys):
+    for extra in (["--max-size", "-3"], ["--max-size", "0"], ["--max-size", "2", "--budget", "0"],
+                  ["--max-size", "2", "--budget", "-1"]):
+        assert main(["verify", "--n", "2"] + extra) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 def test_verify_json(capsys):
     assert main(["verify", "--n", "2", "--max-size", "2", "--json"]) == EXIT_PASS
     payload = json.loads(capsys.readouterr().out)
@@ -97,6 +106,124 @@ def test_show_json(capsys):
         (1, 2): 2,
         (1, 3): 2,
     }
+
+
+# Byte-exact `artifact show` stdout: a highest and a lowest tableau at
+# n = 2, and two tableaux at n = 3 that are neither.
+SHOW_GOLDENS = {
+    (2, '1,2;2,3;4', False): (
+        'tableau:\n'
+        '1 2\n'
+        '2 3\n'
+        '4\n'
+        'P:\n'
+        '2\n'
+        'Q:\n'
+        'step 1: box (2,1)\n'
+        'step 1: box (2,2)\n'
+        'step 2: box (1,2)\n'
+        'step 2: box (1,3)\n'
+        'k_highest: True\n'
+        'k_lowest: False\n'
+        'wt_ghat: (0, 1)\n'
+        'wt_k: (1, 0)\n'
+        'inverse column word: 2 3 1 2 4\n'
+        'ghat_dominant: False (first failing prefix index 1)\n'
+        'string data:\n'
+        'i=1: eps=1 phi=0\n'
+        'i=2: eps=0 phi=1\n'
+        'i=3: eps=0 phi=0\n'
+    ),
+    (2, '1,2;2,3;4', True): (
+        '{"P": [[2]], "Q": [{"box": [2, 1], "step": 1}, {"box": [2, 2], "step": 1}, {"box": [1, 2], "step": 2}, {"box": [1, 3], "step": 2}], "ghat_dominant": false, "k_highest": true, "k_lowest": false, "tableau": [[1, 2], [2, 3], [4]], "wt_ghat": [0, 1], "wt_k": [1, 0]}\n'
+    ),
+    (2, '1;2', False): (
+        'tableau:\n'
+        '1\n'
+        '2\n'
+        'P:\n'
+        '(empty)\n'
+        'Q:\n'
+        'step 1: box (1,1)\n'
+        'step 1: box (1,2)\n'
+        'k_highest: True\n'
+        'k_lowest: True\n'
+        'wt_ghat: (1, 1)\n'
+        'wt_k: (0, 0)\n'
+        'inverse column word: 1 2\n'
+        'ghat_dominant: True\n'
+        'string data:\n'
+        'i=1: eps=0 phi=0\n'
+        'i=2: eps=0 phi=1\n'
+        'i=3: eps=0 phi=0\n'
+    ),
+    (2, '1;2', True): (
+        '{"P": [], "Q": [{"box": [1, 1], "step": 1}, {"box": [1, 2], "step": 1}], "ghat_dominant": true, "k_highest": true, "k_lowest": true, "tableau": [[1], [2]], "wt_ghat": [1, 1], "wt_k": [0, 0]}\n'
+    ),
+    (3, '1,1;2,6;5', False): (
+        'tableau:\n'
+        '1 1\n'
+        '2 6\n'
+        '5\n'
+        'P:\n'
+        '1 6\n'
+        '5\n'
+        'Q:\n'
+        'step 1: box (2,2)\n'
+        'step 1: box (1,3)\n'
+        'k_highest: False\n'
+        'k_lowest: False\n'
+        'wt_ghat: (1, 0, 0)\n'
+        'wt_k: (-1, 0, 0)\n'
+        'inverse column word: 1 6 1 2 5\n'
+        'ghat_dominant: True\n'
+        'string data:\n'
+        'i=1: eps=0 phi=1\n'
+        'i=2: eps=0 phi=1\n'
+        'i=3: eps=0 phi=0\n'
+        'i=4: eps=1 phi=0\n'
+        'i=5: eps=1 phi=1\n'
+    ),
+    (3, '1,1;2,6;5', True): (
+        '{"P": [[1, 6], [5]], "Q": [{"box": [2, 2], "step": 1}, {"box": [1, 3], "step": 1}], "ghat_dominant": true, "k_highest": false, "k_lowest": false, "tableau": [[1, 1], [2, 6], [5]], "wt_ghat": [1, 0, 0], "wt_k": [-1, 0, 0]}\n'
+    ),
+    (3, '1,2,3;2,4;4;6', False): (
+        'tableau:\n'
+        '1 2 3\n'
+        '2 4\n'
+        '4\n'
+        '6\n'
+        'P:\n'
+        '2 3\n'
+        '4 4\n'
+        '6\n'
+        'Q:\n'
+        'step 1: box (3,1)\n'
+        'step 1: box (1,4)\n'
+        'k_highest: False\n'
+        'k_lowest: False\n'
+        'wt_ghat: (0, 2, -1)\n'
+        'wt_k: (1, -1, 1)\n'
+        'inverse column word: 3 2 4 1 2 4 6\n'
+        'ghat_dominant: False (first failing prefix index 1)\n'
+        'string data:\n'
+        'i=1: eps=1 phi=0\n'
+        'i=2: eps=1 phi=2\n'
+        'i=3: eps=1 phi=0\n'
+        'i=4: eps=0 phi=2\n'
+        'i=5: eps=1 phi=0\n'
+    ),
+    (3, '1,2,3;2,4;4;6', True): (
+        '{"P": [[2, 3], [4, 4], [6]], "Q": [{"box": [3, 1], "step": 1}, {"box": [1, 4], "step": 1}], "ghat_dominant": false, "k_highest": false, "k_lowest": false, "tableau": [[1, 2, 3], [2, 4], [4], [6]], "wt_ghat": [0, 2, -1], "wt_k": [1, -1, 1]}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("n, tableau, as_json", sorted(SHOW_GOLDENS))
+def test_show_golden(capsys, n, tableau, as_json):
+    argv = ["show", "--n", str(n), "--tableau", tableau] + (["--json"] if as_json else [])
+    assert main(argv) == EXIT_PASS
+    assert capsys.readouterr().out == "".join(SHOW_GOLDENS[n, tableau, as_json])
 
 
 def test_show_rejects_large_entries(capsys):

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from artifact import verify
 from artifact.promotion import (
     cells_from_rows,
     jdt_slide,
@@ -22,7 +23,7 @@ from artifact.promotion import (
     skew_row_word,
 )
 from artifact.shapes import enumerate_partitions
-from artifact.tableaux import enumerate_ssyt, insertion_tableau, row_word
+from artifact.tableaux import enumerate_ssyt, insertion_tableau, row_word, validate_ssyt
 from artifact.verify import random_shape, random_ssyt
 
 
@@ -112,6 +113,105 @@ def test_rect_is_order_independent():
             assert _rect_random_order(cells, rng) == canonical_result
 
 
+def _slide_forward_reference(cells, x, y):
+    while True:
+        rv = cells.get((x + 1, y))
+        bv = cells.get((x, y + 1))
+        if rv is None and bv is None:
+            return
+        if rv is not None and bv is not None:
+            go_right = rv < bv
+        else:
+            go_right = rv is not None
+        nxt = (x + 1, y) if go_right else (x, y + 1)
+        cells[(x, y)], cells[nxt] = cells[nxt], cells[(x, y)]
+        x, y = nxt
+
+
+def _slide_reverse_reference(cells, x, y, blocked):
+    while True:
+        lv = cells.get((x - 1, y))
+        av = cells.get((x, y - 1))
+        lv = None if lv == blocked else lv
+        av = None if av == blocked else av
+        if lv is None and av is None:
+            return
+        if lv is not None and av is not None:
+            go_left = lv > av
+        else:
+            go_left = lv is not None
+        nxt = (x - 1, y) if go_left else (x, y - 1)
+        cells[(x, y)], cells[nxt] = cells[nxt], cells[(x, y)]
+        x, y = nxt
+
+
+def _pr_inv_reference(T, a, b):
+    """Reference pr_inv: slides on a dict of the in-window cells."""
+    if a == b:
+        return [list(row) for row in T]
+    full = cells_from_rows(T)
+    window = {box for box, e in full.items() if a <= e <= b}
+    work = {}
+    movers = []
+    for box in window:
+        if full[box] == a:
+            work[box] = b
+            movers.append(box)
+        else:
+            work[box] = full[box] - 1
+    movers.sort(key=lambda box: (-box[0], box[1]))
+    for box in movers:
+        _slide_forward_reference(work, *box)
+    out = dict(full)
+    out.update(work)
+    result = [[out[x, y] for x in range(1, len(row) + 1)] for y, row in enumerate(T, start=1)]
+    if not validate_ssyt(result):
+        raise ValueError("inverse promotion broke semistandardness")
+    return result
+
+
+def _pr_reference(T, a, b):
+    """Reference pr: slides on a dict of the in-window cells, skipping settled b's."""
+    if a == b:
+        return [list(row) for row in T]
+    full = cells_from_rows(T)
+    window = {box for box, e in full.items() if a <= e <= b}
+    work = {box: full[box] for box in window}
+    movers = [box for box in window if full[box] == b]
+    movers.sort(key=lambda box: (box[0], -box[1]))
+    for box in movers:
+        _slide_reverse_reference(work, *box, blocked=b)
+    for box in work:
+        work[box] = a if work[box] == b else work[box] + 1
+    out = dict(full)
+    out.update(work)
+    result = [[out[x, y] for x in range(1, len(row) + 1)] for y, row in enumerate(T, start=1)]
+    if not validate_ssyt(result):
+        raise ValueError("promotion broke semistandardness")
+    return result
+
+
+def _assert_matches_reference(T, m):
+    for a in range(1, m + 1):
+        for b in range(a, m + 1):
+            assert pr(T, a, b) == _pr_reference(T, a, b), (T, a, b)
+            assert pr_inv(T, a, b) == _pr_inv_reference(T, a, b), (T, a, b)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_promotion_matches_reference_exhaustively(m):
+    for lam in enumerate_partitions(5, m):
+        for T in enumerate_ssyt(lam, m):
+            _assert_matches_reference(T, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_promotion_matches_reference_rank4(seed):
+    rng = random.Random(seed)
+    _assert_matches_reference(random_ssyt(random_shape(10, 8, rng), 8, rng), 8)
+
+
 def test_promotion_golden():
     T = [[1, 2, 3], [2, 4], [4]]
     U = [[1, 2, 4], [3, 3], [4]]
@@ -123,6 +223,45 @@ def test_promotion_trivial_window():
     T = [[1, 2], [3]]
     assert pr(T, 2, 2) == T
     assert pr_inv(T, 3, 3) == T
+
+
+def test_promotion_rejects_bad_windows():
+    T = [[1, 2], [3]]
+    for a, b in [(3, 2), (0, 2), (0, 0), (-1, 3)]:
+        with pytest.raises(ValueError, match="window"):
+            pr(T, a, b)
+        with pytest.raises(ValueError, match="window"):
+            pr_inv(T, a, b)
+
+
+def test_promotion_of_a_ragged_grid_raises_value_error():
+    for op in (pr, pr_inv):
+        with pytest.raises(ValueError):
+            op([[1], [1, 2]], 1, 2)
+
+
+def test_promotion_relations_reject_non_semistandard_input():
+    for T in ([[2, 1]], [[1], [1]], [[1], [2, 3]]):
+        with pytest.raises(ValueError, match="not a semistandard tableau"):
+            verify.promotion_relations(T, 2)
+
+
+def test_promotion_relations_catch_a_faulty_pr(monkeypatch):
+    # A memo of the first-level images must leave every relation family
+    # evaluated on real values: a pr that is wrong on the one window (1, 2)
+    # has to trip all four, with the check count unchanged.
+    T = [[1, 2, 3], [2, 4], [5]]
+    good = verify.promotion_relations(T, 3)
+    assert good.passed and good.checked == 117
+
+    def faulty_pr(U, a, b):
+        return pr(U, 1, 5) if (a, b) == (1, 2) else pr(U, a, b)
+
+    monkeypatch.setattr(verify, "pr", faulty_pr)
+    bad = verify.promotion_relations(T, 3)
+    assert bad.checked == 117
+    for kind in ("pr roundtrip fails", "not an involution", "do not commute", "composition"):
+        assert any(kind in failure for failure in bad.failures), kind
 
 
 def test_adjacent_travelers_regression():
