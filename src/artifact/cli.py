@@ -2,13 +2,14 @@
 inspection of single tableaux.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error, 3 budget
-exceeded.
+exceeded, 4 internal error (a library invariant failed; argv on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 
 from .branching import _reduction, staircase_flags
@@ -38,6 +39,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(Exception):
@@ -118,7 +120,10 @@ def _report_dict(report: VerificationReport) -> dict:
 
 
 def cmd_branch(args) -> int:
-    lam = parse_partition(args.lam)
+    try:
+        lam = parse_partition(args.lam)
+    except ValueError as exc:
+        raise UsageError(exc) from exc
     if len(lam) > 2 * args.n:
         raise UsageError(f"lambda has more than {2 * args.n} rows")
     report = verify_shape(lam, args.n)
@@ -139,7 +144,7 @@ def cmd_verify(args) -> int:
     reports = verify_sweep(args.n, args.max_size, budget=args.budget)
     suite = SuiteResult()
     for report in reports:
-        suite.merge(bijection_suite(report.lam, args.n))
+        suite.merge(bijection_suite(report))
     if args.n == 2:
         promo = promotion_suite_exhaustive(2, min(args.max_size, 4))
     else:
@@ -301,15 +306,13 @@ def main(argv=None) -> int:
         if args.command in ("branch", "verify", "show", "bijection") and args.n < 1:
             raise UsageError("n must be positive")
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_USAGE
+    except (ValueError, RuntimeError) as exc:
+        argv = sys.argv[1:] if argv is None else argv
+        print(f"internal error: {exc}\nargv: {shlex.join(argv)}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

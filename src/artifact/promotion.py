@@ -22,6 +22,8 @@ def rows_from_cells(cells: Cells) -> Rows:
     by_row: dict[int, dict[int, int | None]] = {}
     for (x, y), e in cells.items():
         by_row.setdefault(y, {})[x] = e
+    if min(by_row, default=1) < 1:
+        raise ValueError("support has a row index below 1")
     rows: Rows = []
     for y in range(1, max(by_row, default=0) + 1):
         row = by_row.get(y, {})

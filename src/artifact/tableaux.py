@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import zip_longest
+from math import prod
 from operator import le, lt
 from typing import Iterator
 
@@ -223,6 +224,15 @@ def enumerate_ssyt(lam: Partition, m: int) -> Iterator[Rows]:
         T[y - 1][x - 1] = 0
 
     yield from fill(1, 1)
+
+
+def count_ssyt(lam: Partition, m: int) -> int:
+    """Number of semistandard tableaux of shape lam over [1, m], by the
+    hook-content formula; 0 when lam has more than m rows."""
+    lam = canonical(lam)
+    boxes = [(x, y, p) for y, p in enumerate(lam, start=1) for x in range(1, p + 1)]
+    hooks = prod(p - x + sum(1 for q in lam[y:] if q >= x) + 1 for x, y, p in boxes)
+    return prod(m + x - y for x, y, _ in boxes) // hooks
 
 
 def enumerate_spt(mu: Partition, n: int) -> Iterator[Rows]:

@@ -6,14 +6,16 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .branching import p_aii, staircase_flags
 from .characters import decompose, restricted_gl_character, sp_character
 from .crystal import ab_sequences, is_ghat_dominant, wt_ghat, wt_k
 from .promotion import phi, pr, pr_inv, psi
 from .shapes import Partition, canonical, enumerate_partitions, format_partition
-from .tableaux import Rows, enumerate_ssyt, freeze, shape, validate_ssyt
+from .tableaux import Rows, count_ssyt, enumerate_ssyt, freeze, shape, validate_ssyt
 
 
 class BudgetExceeded(Exception):
@@ -44,11 +46,16 @@ class ModelRow:
 
 @dataclass
 class VerificationReport:
+    """One shape's five-model rows, dominant tableaux, and highest and lowest (T, P) pairs."""
+
     n: int
     lam: Partition
     rows: list[ModelRow]
     sst_total: int
     sp_dim_sum: int
+    dominant: list[Rows]
+    highest: list[tuple[Rows, Rows]]
+    lowest: list[tuple[Rows, Rows]]
     elapsed: float = 0.0
 
     @property
@@ -61,43 +68,32 @@ class VerificationReport:
 
 
 def verify_shape(lam: Partition, n: int) -> VerificationReport:
-    """Count, for each mu, the dominant / highest / lowest / recording-class
-    tableaux of shape lam and compare with the character oracle."""
+    """Classify each tableau of shape lam once, count the classes per mu and
+    compare the counts with the character oracle."""
     start = time.perf_counter()
-    g_dom: dict[tuple, int] = {}
-    khw: dict[tuple, int] = {}
-    klw: dict[tuple, int] = {}
-    rec: dict[tuple, int] = {}
+    dominant, highest, lowest = [], [], []
     total = 0
     a, b = ab_sequences(n)
     for T in enumerate_ssyt(lam, 2 * n):
         total += 1
         if is_ghat_dominant(T, n):
-            key = _tally_key(wt_ghat(T, n))
-            g_dom[key] = g_dom.get(key, 0) + 1
+            dominant.append(T)
         P = p_aii(T)
-        highest, lowest = staircase_flags(P, a, b)
-        if highest:
-            key = _tally_key(wt_k(T, n))
-            khw[key] = khw.get(key, 0) + 1
-            mu = shape(P)
-            rec[mu] = rec.get(mu, 0) + 1
-        if lowest:
-            mu = shape(P)
-            klw[mu] = klw.get(mu, 0) + 1
+        is_highest, is_lowest = staircase_flags(P, a, b)
+        if is_highest:
+            highest.append((T, P))
+        if is_lowest:
+            lowest.append((T, P))
     oracle = decompose(restricted_gl_character(lam, n), n)
-    universe = sorted(set(g_dom) | set(khw) | set(klw) | set(rec) | set(oracle))
-    rows = [
-        ModelRow(
-            mu=mu,
-            g_dom=g_dom.get(mu, 0),
-            khw=khw.get(mu, 0),
-            klw=klw.get(mu, 0),
-            rec=rec.get(mu, 0),
-            oracle=oracle.get(mu, 0),
-        )
-        for mu in universe
+    # One tally per model, in ModelRow's field order; rec is the shape of P.
+    tallies = [
+        Counter(_tally_key(wt_ghat(T, n)) for T in dominant),
+        Counter(_tally_key(wt_k(T, n)) for T, _ in highest),
+        Counter(shape(P) for _, P in lowest),
+        Counter(shape(P) for _, P in highest),
+        Counter(oracle),
     ]
+    rows = [ModelRow(mu, *(tally[mu] for tally in tallies)) for mu in sorted(set().union(*tallies))]
     sp_dim_sum = sum(
         m * sum(sp_character(mu, n).values()) for mu, m in oracle.items()
     )
@@ -107,12 +103,11 @@ def verify_shape(lam: Partition, n: int) -> VerificationReport:
         rows=rows,
         sst_total=total,
         sp_dim_sum=sp_dim_sum,
+        dominant=dominant,
+        highest=highest,
+        lowest=lowest,
         elapsed=time.perf_counter() - start,
     )
-
-
-def count_ssyt(lam: Partition, m: int) -> int:
-    return sum(1 for _ in enumerate_ssyt(lam, m))
 
 
 def verify_sweep(
@@ -123,20 +118,17 @@ def verify_sweep(
 ) -> list[VerificationReport]:
     """Verify every shape with the given size and length bounds.
 
-    The budget caps the cumulative number of enumerated tableaux.
+    The budget caps the cumulative number of tableaux; it is checked first.
     """
     length = 2 * n if max_length is None else max_length
-    reports = []
-    spent = 0
-    for lam in enumerate_partitions(max_size, length):
-        if budget is not None:
-            spent += count_ssyt(lam, 2 * n)
+    shapes = enumerate_partitions(max_size, length)
+    if budget is not None:
+        for lam, spent in zip(shapes, accumulate(count_ssyt(lam, 2 * n) for lam in shapes)):
             if spent > budget:
                 raise BudgetExceeded(
                     f"tableau budget {budget} exceeded at shape {format_partition(lam)}"
                 )
-        reports.append(verify_shape(lam, n))
-    return reports
+    return [verify_shape(lam, n) for lam in shapes]
 
 
 @dataclass
@@ -153,23 +145,14 @@ class SuiteResult:
         self.failures.extend(other.failures)
 
 
-def bijection_suite(lam: Partition, n: int) -> SuiteResult:
+def bijection_suite(report: VerificationReport) -> SuiteResult:
     """Check that phi / psi restrict to bijections from the dominant tableaux
-    onto the highest (resp. lowest) ones, transporting the weight (phi) and
-    its negative (psi)."""
+    of a verified shape onto its highest (resp. lowest) ones, transporting
+    the weight (phi) and its negative (psi)."""
     out = SuiteResult()
-    dominant = []
-    highest = set()
-    lowest = set()
-    a, b = ab_sequences(n)
-    for T in enumerate_ssyt(lam, 2 * n):
-        if is_ghat_dominant(T, n):
-            dominant.append(T)
-        is_highest, is_lowest = staircase_flags(p_aii(T), a, b)
-        if is_highest:
-            highest.add(freeze(T))
-        if is_lowest:
-            lowest.add(freeze(T))
+    n, lam, dominant = report.n, report.lam, report.dominant
+    highest = {freeze(T) for T, _ in report.highest}
+    lowest = {freeze(T) for T, _ in report.lowest}
     phi_images = set()
     psi_images = set()
     for T in dominant:
@@ -275,8 +258,9 @@ def random_shape(max_size: int, max_length: int, rng: random.Random) -> Partitio
 def promotion_suite_random(n: int, trials: int, seed: int) -> SuiteResult:
     out = SuiteResult()
     rng = random.Random(seed)
+    shapes = enumerate_partitions(8, 2 * n)  # drawn from as random_shape does
     for _ in range(trials):
-        lam = random_shape(8, 2 * n, rng)
+        lam = shapes[rng.randrange(len(shapes))]
         T = random_ssyt(lam, 2 * n, rng)
         out.merge(promotion_relations(T, n))
     return out

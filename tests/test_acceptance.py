@@ -62,6 +62,7 @@ from artifact.verify import (
     promotion_suite_random,
     random_shape,
     random_ssyt,
+    verify_shape,
     verify_sweep,
 )
 
@@ -136,9 +137,9 @@ def test_criterion_4_bijections():
     start = time.perf_counter()
     total = SuiteResult()
     for lam in enumerate_partitions(6, 4):
-        total.merge(bijection_suite(lam, 2))
+        total.merge(bijection_suite(verify_shape(lam, 2)))
     for lam in enumerate_partitions(5, 6):
-        total.merge(bijection_suite(lam, 3))
+        total.merge(bijection_suite(verify_shape(lam, 3)))
     elapsed = time.perf_counter() - start
     ok = total.passed
     line = _report(

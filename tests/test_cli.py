@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from artifact import cli
 from artifact.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
+    EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_USAGE,
     UsageError,
@@ -246,9 +248,22 @@ def test_bijection_trace(capsys):
 
 def test_usage_errors(capsys):
     assert main(["branch", "--n", "2", "--lambda", "2,x"]) == EXIT_USAGE
+    assert main(["branch", "--n", "2", "--lambda", "1,2"]) == EXIT_USAGE
     assert main(["branch", "--n", "0", "--lambda", "1"]) == EXIT_USAGE
     assert main(["nonsense"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch, error):
+    def broken_sweep(*args, **kwargs):
+        raise error("invariant broke")
+
+    monkeypatch.setattr(cli, "verify_sweep", broken_sweep)
+    assert main(["verify", "--n", "2", "--max-size", "2"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: invariant broke\nargv: verify --n 2 --max-size 2\n"
 
 
 def test_output_is_deterministic(capsys):

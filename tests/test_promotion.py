@@ -40,6 +40,8 @@ def test_rows_from_cells_rejects_bad_supports():
         rows_from_cells({(1, 1): 1, (1, 2): 2, (2, 2): 3})  # not a partition
     with pytest.raises(ValueError):
         rows_from_cells({(1, 1): None})                  # leftover hole
+    with pytest.raises(ValueError):
+        rows_from_cells({(1, 0): 5, (1, 1): 1})          # row above row 1
 
 
 def test_jdt_tie_goes_down():
