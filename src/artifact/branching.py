@@ -1,8 +1,9 @@
 """Column reduction, the P/Q correspondence, and highest/lowest weight tests.
 
-P is computed on strictly increasing column tuples, converted from and to
-rows once.  The recording object Q is a dict mapping boxes (x, y) to the
-step index at which the box disappeared from the shape.
+P is computed on strictly increasing column tuples; the public functions
+take rows, validate them once and convert them to columns.  The recording
+object Q is a dict mapping boxes (x, y) to the step index at which the box
+disappeared from the shape.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from .tableaux import (
     Column,
     Rows,
     columns_of,
-    enumerate_ssyt,
-    freeze,
+    enumerate_columns,
     insert_into_columns,
     rows_of,
     shape,
@@ -51,12 +51,12 @@ def red(C: Rows) -> Rows:
     return [[e] for e in _reduced(tuple(row[0] for row in C))]
 
 
-def _reduction(T: Rows, limit: int | None = None) -> tuple[list[Column], dict, int]:
-    """The suc loop on the columns of T: (P, Q, steps) at the first fixed
-    point, with steps counting the steps that changed the tableau and Q read
-    from the change in column lengths.  A limit stops the loop after that
-    many steps; without one, more than |T| + 1 steps raise RuntimeError."""
-    cols = columns_of(T)
+def _reduction(cols: list[Column], limit: int | None = None) -> tuple[list[Column], dict, int]:
+    """The suc loop on semistandard columns, unchecked: (P, Q, steps) at the
+    first fixed point, with steps counting the steps that changed the tableau
+    and Q read from the change in column lengths.  A limit stops the loop
+    after that many steps; without one, more than |T| + 1 steps raise
+    RuntimeError."""
     Q: dict[tuple[int, int], int] = {}
     budget = sum(map(len, cols)) + 1
     for step in range(budget + 1 if limit is None else limit):
@@ -77,18 +77,18 @@ def _reduction(T: Rows, limit: int | None = None) -> tuple[list[Column], dict, i
 
 def suc(T: Rows) -> Rows:
     """Reduce the first column and column-insert it back into the rest."""
-    return rows_of(_reduction(T, 1)[0])
+    return rows_of(_reduction(columns_of(T), 1)[0])
 
 
 def p_aii(T: Rows) -> Rows:
     """Iterate suc to its fixed point (a symplectic tableau); ValueError
     unless T is semistandard."""
-    return rows_of(_reduction(T)[0])
+    return rows_of(_reduction(columns_of(T))[0])
 
 
 def q_aii(T: Rows) -> dict[tuple[int, int], int]:
     """Map each box that suc-iteration removes to the step that removed it."""
-    return _reduction(T)[1]
+    return _reduction(columns_of(T))[1]
 
 
 def lr_aii_partition(lam: Partition, n: int):
@@ -99,10 +99,10 @@ def lr_aii_partition(lam: Partition, n: int):
     """
     classes: dict[Partition, list] = {}
     seen = set()
-    for T in enumerate_ssyt(lam, 2 * n):
-        cols, Q, _ = _reduction(T)
-        P = rows_of(cols)
-        key = (freeze(P), frozenset(Q.items()))
+    for cols in enumerate_columns(lam, 2 * n):
+        P_cols, Q, _ = _reduction(cols)
+        T, P = rows_of(cols), rows_of(P_cols)
+        key = (tuple(P_cols), frozenset(Q.items()))
         if key in seen:
             raise RuntimeError(f"(P, Q) collision at {T}")
         seen.add(key)
@@ -122,24 +122,20 @@ def b_staircase(mu: Partition, n: int) -> Rows:
     return [[b[y - 1]] * part(mu, y) for y in range(1, len(mu) + 1)]
 
 
-def staircase_flags(P: Rows, a: Column, b: Column) -> tuple[bool, bool]:
-    """Whether P has row y constantly a_y, resp. b_y: every column of P is the
-    prefix of a (resp. b) of its length.  With all rows constant, the first
-    column decides, and no staircase tableau is built."""
-    if any(row[0] != row[-1] for row in P):
-        return False, False
-    first = tuple(row[0] for row in P)
-    return first == a[: len(first)], first == b[: len(first)]
+def staircase_flags(P: list[Column], a: Column, b: Column) -> tuple[bool, bool]:
+    """Whether the tableau with columns P has row y constantly a_y, resp. b_y:
+    every column of P is a prefix of a (resp. b).  No staircase is built."""
+    return all(a[: len(col)] == col for col in P), all(b[: len(col)] == col for col in P)
 
 
 def is_k_highest(T: Rows, n: int) -> bool:
     """True iff P has row y constantly a_y."""
-    return staircase_flags(p_aii(T), *ab_sequences(n))[0]
+    return staircase_flags(_reduction(columns_of(T))[0], *ab_sequences(n))[0]
 
 
 def is_k_lowest(T: Rows, n: int) -> bool:
     """True iff P has row y constantly b_y."""
-    return staircase_flags(p_aii(T), *ab_sequences(n))[1]
+    return staircase_flags(_reduction(columns_of(T))[0], *ab_sequences(n))[1]
 
 
 def p_aii_range(T: Rows, a: int, b: int) -> Rows:

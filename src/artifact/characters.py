@@ -10,7 +10,7 @@ from functools import cache
 
 from .crystal import wt_ghat
 from .shapes import Partition, canonical
-from .tableaux import content, enumerate_spt, enumerate_ssyt
+from .tableaux import content, enumerate_columns, symplectic_columns
 
 Character = dict[tuple[int, ...], int]
 
@@ -26,13 +26,13 @@ def _add(chi: Character, weight: tuple[int, ...], m: int) -> None:
 def restricted_gl_character(lam: Partition, n: int) -> Character:
     """Weight multiset of all semistandard tableaux of shape lam, under wt_ghat."""
     chi: Character = {}
-    for T in enumerate_ssyt(lam, 2 * n):
-        _add(chi, wt_ghat(T, n), 1)
+    for cols in enumerate_columns(lam, 2 * n):
+        _add(chi, wt_ghat(cols, n), 1)
     return chi
 
 
 def sp_weight(T, n: int) -> tuple[int, ...]:
-    """Coordinate i is T[2i-1] - T[2i]."""
+    """Coordinate i is T[2i-1] - T[2i]; T may be rows or columns."""
     c = content(T, 2 * n)
     return tuple(c[i] - c[i + 1] for i in range(0, 2 * n, 2))
 
@@ -46,8 +46,8 @@ def sp_character(mu: Partition, n: int) -> Character:
     if len(mu) > n:
         raise ValueError(f"mu has more than {n} rows")
     chi: Character = {}
-    for T in enumerate_spt(mu, n):
-        _add(chi, sp_weight(T, n), 1)
+    for cols in symplectic_columns(mu, n):
+        _add(chi, sp_weight(cols, n), 1)
     return chi
 
 
@@ -56,8 +56,8 @@ def decompose(chi: Character, n: int) -> dict[Partition, int]:
 
     Repeatedly takes the lexicographically greatest remaining weight, which
     must be dominant with positive multiplicity, and subtracts that many
-    copies of the corresponding symplectic character.  Any negative or
-    non-dominant leading term is an internal consistency failure.
+    copies of the corresponding symplectic character.  A negative, non-dominant
+    or unremoved leading term is an internal consistency failure.
     """
     work = dict(chi)
     result: dict[Partition, int] = {}
@@ -72,6 +72,8 @@ def decompose(chi: Character, n: int) -> dict[Partition, int]:
         result[mu] = m
         for weight, count in sp_character(mu, n).items():
             _add(work, weight, -m * count)
+        if top in work:
+            raise RuntimeError(f"subtracting {m} x sp_character({mu}) left the weight {top}")
     return result
 
 

@@ -23,7 +23,7 @@ from .crystal import (
 )
 from .promotion import phi_factors, pr, psi_factors
 from .shapes import format_partition, parse_partition
-from .tableaux import Rows, inverse_column_word, rows_of, validate_ssyt
+from .tableaux import Rows, columns_of, inverse_column_word, rows_of, validate_ssyt
 from .verify import (
     BudgetExceeded,
     SuiteResult,
@@ -40,6 +40,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+
+TABLE_HEADER = "lambda\tmu\tmult\tg_dominant\tk_highest\tk_lowest\trecording\tstatus"
 
 
 class UsageError(Exception):
@@ -130,7 +132,7 @@ def cmd_branch(args) -> int:
     if args.json:
         print(json.dumps(_report_dict(report), sort_keys=True))
     else:
-        print("lambda\tmu\tmult\tg_dominant\tk_highest\tk_lowest\trecording\tstatus")
+        print(TABLE_HEADER)
         for line in _report_lines(report):
             print(line)
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -161,7 +163,7 @@ def cmd_verify(args) -> int:
         }
         print(json.dumps(payload, sort_keys=True))
     else:
-        print("lambda\tmu\tmult\tg_dominant\tk_highest\tk_lowest\trecording\tstatus")
+        print(TABLE_HEADER)
         for report in reports:
             for line in _report_lines(report):
                 print(line)
@@ -180,22 +182,21 @@ def cmd_show(args) -> int:
     n = args.n
     if any(e > 2 * n for row in T for e in row):
         raise UsageError(f"entries exceed {2 * n}")
-    cols, Q, _ = _reduction(T)
+    cols, Q, _ = _reduction(columns_of(T))
     P = rows_of(cols)
-    k_highest, k_lowest = staircase_flags(P, *ab_sequences(n))
+    k_highest, k_lowest = staircase_flags(cols, *ab_sequences(n))
+    steps = sorted(Q.items(), key=lambda kv: (kv[1], kv[0][1], kv[0][0]))
+    violation = ghat_dominance_violation(T, n)
     if args.json:
         payload = {
             "tableau": T,
             "P": P,
-            "Q": [
-                {"box": [x, y], "step": j}
-                for (x, y), j in sorted(Q.items(), key=lambda kv: (kv[1], kv[0][1], kv[0][0]))
-            ],
+            "Q": [{"box": [x, y], "step": j} for (x, y), j in steps],
             "k_highest": k_highest,
             "k_lowest": k_lowest,
             "wt_ghat": list(wt_ghat(T, n)),
             "wt_k": list(wt_k(T, n)),
-            "ghat_dominant": ghat_dominance_violation(T, n) is None,
+            "ghat_dominant": violation is None,
         }
         print(json.dumps(payload, sort_keys=True))
         return EXIT_PASS
@@ -206,13 +207,12 @@ def cmd_show(args) -> int:
     print("Q:")
     if not Q:
         print("(empty)")
-    for (x, y), j in sorted(Q.items(), key=lambda kv: (kv[1], kv[0][1], kv[0][0])):
+    for (x, y), j in steps:
         print(f"step {j}: box ({x},{y})")
     print(f"k_highest: {k_highest}")
     print(f"k_lowest: {k_lowest}")
     print(f"wt_ghat: {wt_ghat(T, n)}")
     print(f"wt_k: {wt_k(T, n)}")
-    violation = ghat_dominance_violation(T, n)
     word = inverse_column_word(T)
     print(f"inverse column word: {' '.join(str(c) for c in word)}")
     if violation is None:

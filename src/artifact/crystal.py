@@ -8,7 +8,7 @@ act on the surviving letters.
 from __future__ import annotations
 
 from .shapes import Partition
-from .tableaux import Rows, content, inverse_column_word, row_word, validate_ssyt
+from .tableaux import Column, Rows, columns_of, content, row_word, validate_ssyt
 
 Word = list[int]
 
@@ -19,7 +19,7 @@ def wt_gl(T: Rows, N: int) -> tuple[int, ...]:
 
 
 def wt_ghat(T: Rows, n: int) -> tuple[int, ...]:
-    """Coordinate i is T[i] - T[2n - i + 1]."""
+    """Coordinate i is T[i] - T[2n - i + 1]; T may be rows or columns."""
     c = content(T, 2 * n)
     return tuple(c[i] - c[-1 - i] for i in range(n))
 
@@ -115,22 +115,14 @@ def tensor_f(b1: Word, b2: Word, i: int) -> tuple[Word, Word] | None:
     return None if lowered is None else (b1, lowered)
 
 
-def _row_word_boxes(T: Rows) -> list[tuple[int, int]]:
-    """Box coordinates (x, y) in row-word reading order."""
-    boxes = []
-    for y in range(len(T), 0, -1):
-        for x in range(1, len(T[y - 1]) + 1):
-            boxes.append((x, y))
-    return boxes
-
-
 def _apply_word_op(T: Rows, i: int, op) -> Rows | None:
     word = row_word(T)
     moved = op(word, i)
     if moved is None:
         return None
     changed = next(p for p in range(len(word)) if word[p] != moved[p])
-    x, y = _row_word_boxes(T)[changed]
+    # The box at that position of the row word: bottom row first.
+    x, y = [(x, y) for y in range(len(T), 0, -1) for x in range(1, len(T[y - 1]) + 1)][changed]
     out = [list(row) for row in T]
     out[y - 1][x - 1] = moved[changed]
     if not validate_ssyt(out):
@@ -171,8 +163,14 @@ def tableau_phi(T: Rows, i: int) -> int:
 def ghat_dominance_violation(T: Rows, n: int) -> int | None:
     """First prefix index (1-based) of the inverse column word whose partial
     weight is not a weakly decreasing nonnegative sequence, or None."""
+    return column_dominance_violation(columns_of(T), n)
+
+
+def column_dominance_violation(cols: list[Column], n: int) -> int | None:
+    """ghat_dominance_violation on the columns of a semistandard tableau."""
     m = [0] * n
-    for p, letter in enumerate(inverse_column_word(T), start=1):
+    word = (letter for col in reversed(cols) for letter in col)
+    for p, letter in enumerate(word, start=1):
         if letter <= n:
             m[letter - 1] += 1
         else:

@@ -28,6 +28,11 @@ def part(lam: Partition, y: int) -> int:
     return lam[y - 1] if 1 <= y <= len(lam) else 0
 
 
+def conjugate(lam: Partition) -> Partition:
+    """The column lengths of lam, left to right."""
+    return tuple(sum(1 for p in lam if p >= x) for x in range(1, part(lam, 1) + 1))
+
+
 def young_diagram(lam: Partition) -> set[Box]:
     """All boxes (x, y) with 1 <= y <= len(lam), 1 <= x <= lam[y-1]."""
     return {(x, y) for y, row in enumerate(lam, start=1) for x in range(1, row + 1)}

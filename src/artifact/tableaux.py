@@ -1,19 +1,21 @@
 """Semistandard tableaux: validation, reading words, insertion, enumeration.
 
 A straight-shape tableau is a list of rows, each row a list of entries,
-rows top to bottom, row lengths weakly decreasing.  Column insertion works
-on the columns instead: a list of strictly increasing tuples, left to right.
+rows top to bottom, row lengths weakly decreasing.  Enumeration and column
+insertion work on the columns instead: a list of strictly increasing tuples,
+left to right; the row enumerators are views of enumerate_columns.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import zip_longest
+from functools import cache
+from itertools import combinations, zip_longest
 from math import prod
 from operator import le, lt
 from typing import Iterator
 
-from .shapes import Partition, canonical
+from .shapes import Partition, canonical, conjugate
 
 Rows = list[list[int]]
 Column = tuple[int, ...]
@@ -53,8 +55,8 @@ def count_entry(T: Rows, m: int) -> int:
 
 
 def content(T: Rows, m: int) -> tuple[int, ...]:
-    """Entry counts (T[1], ..., T[m]) in one pass; entries outside [1, m]
-    are not counted, as by count_entry."""
+    """Entry counts (T[1], ..., T[m]) in one pass over the rows, or the
+    columns, of T; entries outside [1, m] are not counted, as by count_entry."""
     counts = [0] * (m + 1)
     for row in T:
         for e in row:
@@ -70,14 +72,7 @@ def row_word(T: Rows) -> list[int]:
 
 def inverse_column_word(T: Rows) -> list[int]:
     """Read the rightmost column first, each column top to bottom."""
-    if not T:
-        return []
-    word = []
-    for x in range(max(len(row) for row in T), 0, -1):
-        for row in T:
-            if len(row) >= x:
-                word.append(row[x - 1])
-    return word
+    return [e for col in reversed(columns_of(T)) for e in col]
 
 
 def schensted_insert(m: int, T: Rows) -> Rows:
@@ -193,50 +188,46 @@ def is_symplectic(T: Rows) -> bool:
     return all(row[0] >= 2 * i + 1 for i, row in enumerate(T))
 
 
-def enumerate_ssyt(lam: Partition, m: int) -> Iterator[Rows]:
-    """All semistandard tableaux of shape lam with entries in [1, m].
+def enumerate_columns(lam: Partition, m: int) -> Iterator[list[Column]]:
+    """All semistandard tableaux of shape lam over [1, m] as column lists, a
+    chain of strictly increasing tuples each row-wise >= its left neighbour,
+    in lexicographic order of the column reading sequence."""
+    lengths = conjugate(canonical(lam))
 
-    Deterministic order: lexicographic on the column reading sequence
-    (columns left to right, each top to bottom).
-    """
-    lam = canonical(lam)
-    if not lam:
-        yield []
-        return
-    ncols = lam[0]
-    col_len = [sum(1 for p in lam if p >= x) for x in range(1, ncols + 1)]
-    T: Rows = [[0] * p for p in lam]
+    @cache
+    def after(left: Column, k: int) -> list[Column]:
+        return [col for col in combinations(range(1, m + 1), k) if all(map(le, left, col))]
 
-    def fill(x: int, y: int) -> Iterator[Rows]:
-        if x > ncols:
-            yield [list(row) for row in T]
+    def chain(prefix: list[Column]) -> Iterator[list[Column]]:
+        if len(prefix) == len(lengths):
+            yield prefix
             return
-        nx, ny = (x, y + 1) if y < col_len[x - 1] else (x + 1, 1)
-        lo = 1
-        if y > 1:
-            lo = max(lo, T[y - 2][x - 1] + 1)
-        if x > 1:
-            lo = max(lo, T[y - 1][x - 2])
-        hi = m - (col_len[x - 1] - y)
-        for v in range(lo, hi + 1):
-            T[y - 1][x - 1] = v
-            yield from fill(nx, ny)
-        T[y - 1][x - 1] = 0
+        for col in after(prefix[-1] if prefix else (), lengths[len(prefix)]):
+            yield from chain(prefix + [col])
 
-    yield from fill(1, 1)
+    return chain([])
+
+
+def enumerate_ssyt(lam: Partition, m: int) -> Iterator[Rows]:
+    """The rows of each tableau of enumerate_columns(lam, m), in its order."""
+    yield from map(rows_of, enumerate_columns(lam, m))
 
 
 def count_ssyt(lam: Partition, m: int) -> int:
     """Number of semistandard tableaux of shape lam over [1, m], by the
     hook-content formula; 0 when lam has more than m rows."""
     lam = canonical(lam)
-    boxes = [(x, y, p) for y, p in enumerate(lam, start=1) for x in range(1, p + 1)]
-    hooks = prod(p - x + sum(1 for q in lam[y:] if q >= x) + 1 for x, y, p in boxes)
-    return prod(m + x - y for x, y, _ in boxes) // hooks
+    lengths = conjugate(lam)
+    boxes = [(x, y) for y, p in enumerate(lam) for x in range(p)]
+    hooks = prod(lam[y] + lengths[x] - x - y - 1 for x, y in boxes)
+    return prod(m + x - y for x, y in boxes) // hooks
+
+
+def symplectic_columns(mu: Partition, n: int) -> Iterator[list[Column]]:
+    """Column lists of the King tableaux of shape mu over [1, 2n], by their first column."""
+    return (cols for cols in enumerate_columns(mu, 2 * n) if is_symplectic(rows_of(cols[:1])))
 
 
 def enumerate_spt(mu: Partition, n: int) -> Iterator[Rows]:
-    """All symplectic (King) tableaux of shape mu with entries in [1, 2n]."""
-    for T in enumerate_ssyt(mu, 2 * n):
-        if is_symplectic(T):
-            yield T
+    """The rows of each tableau of symplectic_columns(mu, n), in its order."""
+    yield from map(rows_of, symplectic_columns(mu, n))

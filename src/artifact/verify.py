@@ -10,12 +10,21 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .branching import p_aii, staircase_flags
+from .branching import _reduction, staircase_flags
 from .characters import decompose, restricted_gl_character, sp_character
-from .crystal import ab_sequences, is_ghat_dominant, wt_ghat, wt_k
+from .crystal import ab_sequences, column_dominance_violation, wt_ghat, wt_k
 from .promotion import phi, pr, pr_inv, psi
-from .shapes import Partition, canonical, enumerate_partitions, format_partition
-from .tableaux import Rows, count_ssyt, enumerate_ssyt, freeze, shape, validate_ssyt
+from .shapes import Partition, canonical, conjugate, enumerate_partitions, format_partition
+from .tableaux import (
+    Rows,
+    count_ssyt,
+    enumerate_columns,
+    enumerate_ssyt,
+    freeze,
+    rows_of,
+    shape,
+    validate_ssyt,
+)
 
 
 class BudgetExceeded(Exception):
@@ -60,7 +69,8 @@ class VerificationReport:
 
     @property
     def dim_ok(self) -> bool:
-        return self.sst_total == self.sp_dim_sum
+        """The tableau count equals the Sp dimension sum and count_ssyt."""
+        return self.sst_total == self.sp_dim_sum == count_ssyt(self.lam, 2 * self.n)
 
     @property
     def passed(self) -> bool:
@@ -68,22 +78,22 @@ class VerificationReport:
 
 
 def verify_shape(lam: Partition, n: int) -> VerificationReport:
-    """Classify each tableau of shape lam once, count the classes per mu and
-    compare the counts with the character oracle."""
+    """Classify the columns of each tableau of shape lam once, count the classes
+    per mu and compare with the character oracle; only kept tableaux get rows."""
     start = time.perf_counter()
     dominant, highest, lowest = [], [], []
     total = 0
     a, b = ab_sequences(n)
-    for T in enumerate_ssyt(lam, 2 * n):
+    for cols in enumerate_columns(lam, 2 * n):
         total += 1
-        if is_ghat_dominant(T, n):
-            dominant.append(T)
-        P = p_aii(T)
+        if column_dominance_violation(cols, n) is None:
+            dominant.append(rows_of(cols))
+        P = _reduction(cols)[0]
         is_highest, is_lowest = staircase_flags(P, a, b)
         if is_highest:
-            highest.append((T, P))
+            highest.append((rows_of(cols), rows_of(P)))
         if is_lowest:
-            lowest.append((T, P))
+            lowest.append((rows_of(cols), rows_of(P)))
     oracle = decompose(restricted_gl_character(lam, n), n)
     # One tally per model, in ModelRow's field order; rec is the shape of P.
     tallies = [
@@ -230,24 +240,20 @@ def promotion_suite_exhaustive(n: int, max_size: int) -> SuiteResult:
 
 
 def random_ssyt(lam: Partition, m: int, rng: random.Random) -> Rows:
-    """One semistandard tableau of shape lam over [1, m], sampled cell by
-    cell (not uniformly; adequate for property trials)."""
+    """One semistandard tableau of shape lam over [1, m], sampled box by box
+    down each column (not uniformly; adequate for property trials)."""
     lam = canonical(lam)
-    if lam and len(lam) > m:
+    if len(lam) > m:
         raise ValueError("shape too long for the alphabet")
-    T: Rows = [[0] * p for p in lam]
-    ncols = lam[0] if lam else 0
-    col_len = [sum(1 for p in lam if p >= x) for x in range(1, ncols + 1)]
-    for x in range(1, ncols + 1):
-        for y in range(1, col_len[x - 1] + 1):
-            lo = 1
-            if y > 1:
-                lo = max(lo, T[y - 2][x - 1] + 1)
-            if x > 1:
-                lo = max(lo, T[y - 1][x - 2])
-            hi = m - (col_len[x - 1] - y)
-            T[y - 1][x - 1] = rng.randint(lo, hi)
-    return T
+    cols = []
+    for k in conjugate(lam):
+        # Below a 0 sentinel, each box is at least its left neighbour, above
+        # the box over it, and leaves room for the k - y - 1 boxes under it.
+        col = [0]
+        for y, left in zip(range(k), cols[-1] if cols else [1] * k):
+            col.append(rng.randint(max(left, col[-1] + 1), m - k + y + 1))
+        cols.append(col[1:])
+    return rows_of(cols)
 
 
 def random_shape(max_size: int, max_length: int, rng: random.Random) -> Partition:

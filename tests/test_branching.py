@@ -29,6 +29,7 @@ from artifact.shapes import enumerate_partitions, young_diagram
 from artifact.tableaux import (
     column_insert,
     column_to_rows,
+    columns_of,
     enumerate_spt,
     enumerate_ssyt,
     first_column,
@@ -217,7 +218,7 @@ def test_staircase_flags_match_staircases():
         a, b = ab_sequences(n)
         for lam in enumerate_partitions(6, n):
             for P in enumerate_spt(lam, n):
-                flags = staircase_flags(P, a, b)
+                flags = staircase_flags(columns_of(P), a, b)
                 assert flags == (P == a_staircase(lam, n), P == b_staircase(lam, n)), P
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from artifact.shapes import (
     canonical,
+    conjugate,
     contains,
     enumerate_partitions,
     format_partition,
@@ -88,3 +89,12 @@ def test_parse_partition_empty_forms():
     assert parse_partition("0") == ()
     with pytest.raises(ValueError):
         parse_partition("2,x")
+
+
+def test_conjugate():
+    assert conjugate((3, 1)) == (2, 1, 1)
+    assert conjugate(()) == ()
+    for lam in enumerate_partitions(8, 8):
+        cols = conjugate(lam)
+        assert conjugate(cols) == lam
+        assert {(y, x) for x, y in young_diagram(lam)} == young_diagram(cols)

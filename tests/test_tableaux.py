@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from artifact.shapes import enumerate_partitions
+from artifact.shapes import canonical, enumerate_partitions
 from artifact.tableaux import (
     box_fits,
     column_insert,
@@ -13,6 +13,7 @@ from artifact.tableaux import (
     content,
     count_entry,
     count_ssyt,
+    enumerate_columns,
     enumerate_spt,
     enumerate_ssyt,
     first_column,
@@ -204,3 +205,52 @@ def test_every_enumerated_tableau_is_valid():
         for T in enumerate_ssyt(lam, 4):
             assert validate_ssyt(T)
             assert shape(T) == lam
+
+
+def _enumerate_ssyt_reference(lam, m):
+    """The former enumerator: a recursive fill, box by box down each column."""
+    lam = canonical(lam)
+    if not lam:
+        yield []
+        return
+    ncols = lam[0]
+    col_len = [sum(1 for p in lam if p >= x) for x in range(1, ncols + 1)]
+    T = [[0] * p for p in lam]
+
+    def fill(x, y):
+        if x > ncols:
+            yield [list(row) for row in T]
+            return
+        nx, ny = (x, y + 1) if y < col_len[x - 1] else (x + 1, 1)
+        lo = 1
+        if y > 1:
+            lo = max(lo, T[y - 2][x - 1] + 1)
+        if x > 1:
+            lo = max(lo, T[y - 1][x - 2])
+        hi = m - (col_len[x - 1] - y)
+        for v in range(lo, hi + 1):
+            T[y - 1][x - 1] = v
+            yield from fill(nx, ny)
+        T[y - 1][x - 1] = 0
+
+    yield from fill(1, 1)
+
+
+def test_column_generator_matches_the_reference():
+    """enumerate_ssyt, the column generator read through rows_of, and the
+    King tableaux among them equal the former recursive enumerator in order,
+    and count_ssyt counts them, for every shape of at most 7 boxes over
+    [1, m] with m <= 6 (0 tableaux when the shape has more than m rows)."""
+    checked = 0
+    for lam in enumerate_partitions(7, 7):
+        for m in range(1, 7):
+            reference = list(_enumerate_ssyt_reference(lam, m))
+            assert list(enumerate_ssyt(lam, m)) == reference, (lam, m)
+            assert [rows_of(cols) for cols in enumerate_columns(lam, m)] == reference, (lam, m)
+            assert count_ssyt(lam, m) == len(reference), (lam, m)
+            if m % 2 == 0:
+                king = [T for T in reference if is_symplectic(T)]
+                assert list(enumerate_spt(lam, m // 2)) == king, (lam, m)
+            checked += len(reference)
+    assert checked == 33825
+    assert count_ssyt((1, 1), 1) == 0 and count_ssyt((5,), 1) == 1

@@ -1,13 +1,17 @@
 """The classes verify_shape keeps for the bijection suite, the tableau
-budget of a sweep, and the draws of the random promotion suite."""
+budget of a sweep, the draws of the random promotion suite, and the guards
+that catch an enumeration fault shared by the models and the oracle."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from artifact import verify
+from artifact import characters, tableaux, verify
 from artifact.branching import is_k_highest, is_k_lowest, p_aii
 from artifact.crystal import is_ghat_dominant
+from artifact.cli import EXIT_FAIL, EXIT_INTERNAL, main
 from artifact.shapes import enumerate_partitions
 from artifact.tableaux import enumerate_ssyt
 from artifact.verify import (
@@ -68,3 +72,70 @@ def test_random_suite_draws_the_random_shape_sequence(monkeypatch):
     verify.promotion_suite_random(3, 40, 7)
     rng = random.Random(7)
     assert drawn == [random_ssyt(random_shape(8, 6, rng), 6, rng) for _ in range(40)]
+
+
+# sha256 of json.dumps of 200 tableaux drawn as promotion_suite_random draws
+# them, taken from the former row-based body of random_ssyt.
+RANDOM_SSYT_GOLDENS = {
+    (7, 2): "66f21a9271ee13c146cbb3c27e285368dad8b99e3f37d8e727ee09073aad7bc8",
+    (7, 3): "c90ede7014b8ec174d83ed5f1ac5fc2d603b8eb0e11d8949b3e2d5ca6e37739f",
+    (7, 4): "0fd31cccc4f6f181536a97aea53f615605a05a8a5a8b1eaafc7e1b5e19902e24",
+    (20260823, 2): "06aecf3a5d180737081e57a1544ea3be897238e0f015b879c8597c09d86caf76",
+    (20260823, 3): "4641bee61a62bdaa988dcde63a1719887597eb597e4c67d36f63707fce905e4f",
+    (20260823, 4): "6a0543342917174b2e1742e22040065ea3ef56ec236e819d74b6247a0d23cc14",
+}
+
+
+@pytest.mark.parametrize("seed, n", sorted(RANDOM_SSYT_GOLDENS))
+def test_random_ssyt_draws_are_golden(seed, n):
+    rng = random.Random(seed)
+    shapes = enumerate_partitions(8, 2 * n)
+    drawn = [random_ssyt(shapes[rng.randrange(len(shapes))], 2 * n, rng) for _ in range(200)]
+    assert hashlib.sha256(json.dumps(drawn).encode()).hexdigest() == RANDOM_SSYT_GOLDENS[seed, n]
+
+
+def _without_shape_22(generate):
+    """The generator, except that shape (2, 2) has no tableaux."""
+    return lambda lam, m: iter(()) if tuple(lam) == (2, 2) else generate(lam, m)
+
+
+@pytest.fixture
+def cold_sp_character():
+    """An empty sp_character cache before and after the test, so that a fault
+    on the Sp side is neither hidden by a cached value nor left behind."""
+    characters.sp_character.cache_clear()
+    yield
+    characters.sp_character.cache_clear()
+
+
+def test_shared_fault_on_every_side_stops_with_an_internal_error(
+    monkeypatch, capsys, time_bound, cold_sp_character
+):
+    """Shape (2, 2) missing on the model, GL and Sp sides: subtracting the
+    empty sp_character((2, 2)) cannot remove the weight (2, 2), so decompose
+    raises instead of looping."""
+    time_bound(30)
+    generate = tableaux.enumerate_columns
+    for module in (verify, characters, tableaux):
+        monkeypatch.setattr(module, "enumerate_columns", _without_shape_22(generate))
+    with pytest.raises(RuntimeError, match=r"left the weight \(2, 2\)"):
+        verify_sweep(2, 6)
+    assert main(["verify", "--n", "2", "--max-size", "6"]) == EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("internal error: subtracting")
+
+
+def test_shared_fault_on_model_and_gl_sides_fails_the_dimension_check(
+    monkeypatch, capsys, time_bound
+):
+    """Shape (2, 2) missing on the model and GL sides only: the five models
+    agree on no tableaux at all, and only the hook-content count sees it."""
+    time_bound(30)
+    generate = tableaux.enumerate_columns
+    for module in (verify, characters):
+        monkeypatch.setattr(module, "enumerate_columns", _without_shape_22(generate))
+    reports = verify_sweep(2, 6)
+    failing = [r for r in reports if not r.passed]
+    assert [(r.lam, r.sst_total, r.sp_dim_sum, r.rows) for r in failing] == [((2, 2), 0, 0, [])]
+    assert not failing[0].dim_ok
+    assert main(["verify", "--n", "2", "--max-size", "6"]) == EXIT_FAIL
+    assert "dimension identity\tMISMATCH" in capsys.readouterr().out
