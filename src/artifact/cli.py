@@ -15,7 +15,7 @@ import sys
 from .branching import _reduction, staircase_flags
 from .crystal import (
     ab_sequences,
-    ghat_dominance_violation,
+    column_dominance_violation,
     tableau_eps,
     tableau_phi,
     wt_ghat,
@@ -23,7 +23,7 @@ from .crystal import (
 )
 from .promotion import phi_factors, pr, psi_factors
 from .shapes import format_partition, parse_partition
-from .tableaux import Rows, columns_of, inverse_column_word, rows_of, validate_ssyt
+from .tableaux import Rows, columns_of, rows_of, validate_ssyt
 from .verify import (
     BudgetExceeded,
     SuiteResult,
@@ -182,11 +182,12 @@ def cmd_show(args) -> int:
     n = args.n
     if any(e > 2 * n for row in T for e in row):
         raise UsageError(f"entries exceed {2 * n}")
-    cols, Q, _ = _reduction(columns_of(T))
-    P = rows_of(cols)
-    k_highest, k_lowest = staircase_flags(cols, *ab_sequences(n))
+    cols = columns_of(T)
+    P_cols, Q, _ = _reduction(cols)
+    P = rows_of(P_cols)
+    k_highest, k_lowest = staircase_flags(P_cols, *ab_sequences(n))
     steps = sorted(Q.items(), key=lambda kv: (kv[1], kv[0][1], kv[0][0]))
-    violation = ghat_dominance_violation(T, n)
+    violation = column_dominance_violation(cols, n)
     if args.json:
         payload = {
             "tableau": T,
@@ -213,8 +214,8 @@ def cmd_show(args) -> int:
     print(f"k_lowest: {k_lowest}")
     print(f"wt_ghat: {wt_ghat(T, n)}")
     print(f"wt_k: {wt_k(T, n)}")
-    word = inverse_column_word(T)
-    print(f"inverse column word: {' '.join(str(c) for c in word)}")
+    word = " ".join(str(e) for col in reversed(cols) for e in col)
+    print(f"inverse column word: {word}")
     if violation is None:
         print("ghat_dominant: True")
     else:
@@ -303,7 +304,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if args.command in ("branch", "verify", "show", "bijection") and args.n < 1:
+        if args.n < 1:
             raise UsageError("n must be positive")
         return args.func(args)
     except (UsageError, BudgetExceeded) as exc:

@@ -7,6 +7,8 @@ act on the surviving letters.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .shapes import Partition
 from .tableaux import Column, Rows, columns_of, content, row_word, validate_ssyt
 
@@ -116,15 +118,12 @@ def tensor_f(b1: Word, b2: Word, i: int) -> tuple[Word, Word] | None:
 
 
 def _apply_word_op(T: Rows, i: int, op) -> Rows | None:
-    word = row_word(T)
-    moved = op(word, i)
+    moved = op(row_word(T), i)
     if moved is None:
         return None
-    changed = next(p for p in range(len(word)) if word[p] != moved[p])
-    # The box at that position of the row word: bottom row first.
-    x, y = [(x, y) for y in range(len(T), 0, -1) for x in range(1, len(T[y - 1]) + 1)][changed]
-    out = [list(row) for row in T]
-    out[y - 1][x - 1] = moved[changed]
+    # The row word reads the bottom row first: cut it back by row length.
+    letters = iter(moved)
+    out = [list(islice(letters, len(row))) for row in reversed(T)][::-1]
     if not validate_ssyt(out):
         raise ValueError("crystal operator broke semistandardness")
     return out
@@ -162,22 +161,32 @@ def tableau_phi(T: Rows, i: int) -> int:
 
 def ghat_dominance_violation(T: Rows, n: int) -> int | None:
     """First prefix index (1-based) of the inverse column word whose partial
-    weight is not a weakly decreasing nonnegative sequence, or None."""
-    return column_dominance_violation(columns_of(T), n)
+    weight is not a weakly decreasing nonnegative sequence, or None;
+    ValueError unless T is semistandard with entries at most 2n."""
+    cols = columns_of(T)
+    if any(col[-1] > 2 * n for col in cols):
+        raise ValueError(f"entries exceed {2 * n}: {T}")
+    return column_dominance_violation(cols, n)
 
 
 def column_dominance_violation(cols: list[Column], n: int) -> int | None:
-    """ghat_dominance_violation on the columns of a semistandard tableau."""
-    m = [0] * n
+    """ghat_dominance_violation on the columns of a semistandard tableau over
+    [1, 2n].  The prefix before each letter is dominant, so only the
+    coordinate the letter moves is compared, with its neighbour; the zero
+    sentinel m[n] makes the last coordinate's neighbour the bound 0."""
+    m = [0] * (n + 1)
     word = (letter for col in reversed(cols) for letter in col)
     for p, letter in enumerate(word, start=1):
         if letter <= n:
-            m[letter - 1] += 1
+            k = letter - 1
+            m[k] += 1
+            if k and m[k - 1] < m[k]:
+                return p
         else:
-            m[2 * n - letter] -= 1
-        ok = m[-1] >= 0 and all(m[k] >= m[k + 1] for k in range(n - 1))
-        if not ok:
-            return p
+            k = 2 * n - letter
+            m[k] -= 1
+            if m[k] < m[k + 1]:
+                return p
     return None
 
 

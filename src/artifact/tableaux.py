@@ -119,35 +119,16 @@ def rows_of(cols: list[Column]) -> Rows:
     return [list(row[: row.index(None)] if None in row else row) for row in zip_longest(*cols)]
 
 
-def box_fits(cols: list[Column], x: int, y: int) -> bool:
-    """Whether box (x, y), 0-based column and row, is positive, has a box to
-    its left and is in order with its four neighbours.  When no other box
-    breaks semistandardness, this is validate_ssyt."""
-    col = cols[x]
-    v = col[y]
-    if v < 1 or (y and col[y - 1] >= v) or (y + 1 < len(col) and col[y + 1] <= v):
-        return False
-    if x and (len(cols[x - 1]) <= y or cols[x - 1][y] > v):
-        return False
-    return x + 1 == len(cols) or len(cols[x + 1]) <= y or cols[x + 1][y] >= v
-
-
 def insert_into_columns(m: int, cols: list[Column]) -> None:
-    """Column-insert m into semistandard columns in place, bumping the topmost
-    entry >= m of each column; ValueError if a changed box does not fit."""
-    path = []
+    """Column-insert m >= 1 into semistandard columns in place, bumping the
+    topmost entry >= m of each column; the result is semistandard."""
     for x, col in enumerate(cols):
         y = bisect_left(col, m)
-        path.append(y)
         if y == len(col):
             cols[x] = col + (m,)
-            break
+            return
         cols[x], m = col[:y] + (m,) + col[y + 1 :], col[y]
-    else:
-        cols.append((m,))
-        path.append(0)
-    if not all(box_fits(cols, x, y) for x, y in enumerate(path)):
-        raise ValueError("column insertion produced an invalid tableau")
+    cols.append((m,))
 
 
 def column_insert(m: int, T: Rows) -> Rows:
@@ -158,10 +139,11 @@ def column_insert(m: int, T: Rows) -> Rows:
 def column_star(C: Rows, S: Rows) -> Rows:
     """The product C * S: column-insert the entries of C into S, top first.
 
-    C must be a single column (one box per row).
+    C must be a single column (one box per row) of entries >= 1 and S
+    semistandard; ValueError otherwise.
     """
-    if any(len(row) != 1 for row in C):
-        raise ValueError("C is not a single column")
+    if any(len(row) != 1 or row[0] < 1 for row in C):
+        raise ValueError(f"not a single column of entries >= 1: {C}")
     cols = columns_of(S)
     for row in C:
         insert_into_columns(row[0], cols)

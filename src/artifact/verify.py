@@ -120,18 +120,12 @@ def verify_shape(lam: Partition, n: int) -> VerificationReport:
     )
 
 
-def verify_sweep(
-    n: int,
-    max_size: int,
-    max_length: int | None = None,
-    budget: int | None = None,
-) -> list[VerificationReport]:
-    """Verify every shape with the given size and length bounds.
+def verify_sweep(n: int, max_size: int, budget: int | None = None) -> list[VerificationReport]:
+    """Verify every shape with at most max_size boxes and 2n rows.
 
     The budget caps the cumulative number of tableaux; it is checked first.
     """
-    length = 2 * n if max_length is None else max_length
-    shapes = enumerate_partitions(max_size, length)
+    shapes = enumerate_partitions(max_size, 2 * n)
     if budget is not None:
         for lam, spent in zip(shapes, accumulate(count_ssyt(lam, 2 * n) for lam in shapes)):
             if spent > budget:

@@ -6,6 +6,7 @@ import pytest
 
 from artifact.crystal import (
     ab_sequences,
+    column_dominance_violation,
     crystal_e,
     crystal_f,
     e_max,
@@ -26,7 +27,14 @@ from artifact.crystal import (
 )
 from artifact.characters import sp_weight
 from artifact.shapes import enumerate_partitions
-from artifact.tableaux import count_entry, enumerate_ssyt, freeze, validate_ssyt
+from artifact.tableaux import (
+    columns_of,
+    count_entry,
+    enumerate_ssyt,
+    freeze,
+    rows_of,
+    validate_ssyt,
+)
 
 
 def test_convention_pins():
@@ -148,6 +156,40 @@ def test_dominance():
     assert ghat_dominance_violation([[1], [2]], 2) is None
     assert is_ghat_dominant([[1, 1], [2, 6], [5]], 3)
     assert is_ghat_dominant([], 2)
+    # An entry above 2n has no coordinate: 5 would wrap to the last one.
+    with pytest.raises(ValueError):
+        is_ghat_dominant([[7]], 2)
+    with pytest.raises(ValueError):
+        ghat_dominance_violation([[1, 5]], 2)
+
+
+def _dominance_violation_reference(cols, n):
+    """The full rescan: after every letter, test all n - 1 adjacent pairs of
+    the partial weight and its last coordinate."""
+    m = [0] * n
+    word = (letter for col in reversed(cols) for letter in col)
+    for p, letter in enumerate(word, start=1):
+        if letter <= n:
+            m[letter - 1] += 1
+        else:
+            m[2 * n - letter] -= 1
+        ok = m[-1] >= 0 and all(m[k] >= m[k + 1] for k in range(n - 1))
+        if not ok:
+            return p
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dominance_scan_matches_the_full_rescan(n):
+    """One comparison per letter finds the same first violation as the full
+    rescan on every tableau with at most 6 boxes over [1, 2n]."""
+    for lam in enumerate_partitions(6, 2 * n):
+        for T in enumerate_ssyt(lam, 2 * n):
+            cols = columns_of(T)
+            assert rows_of(cols) == T
+            expected = _dominance_violation_reference(cols, n)
+            assert column_dominance_violation(cols, n) == expected, T
+            assert ghat_dominance_violation(T, n) == expected, T
 
 
 def test_dominant_tableaux_have_dominant_weight():
