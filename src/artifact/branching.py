@@ -41,14 +41,25 @@ def _reduced(col: Column) -> Column:
     return kept
 
 
+def _column(C: Rows) -> Column:
+    """The entries of C top to bottom; ValueError unless C is a single column:
+    one box per row, strictly increasing, entries >= 1."""
+    cols = columns_of(C)
+    if len(cols) > 1:
+        raise ValueError(f"not a single column: {C}")
+    return cols[0] if cols else ()
+
+
 def rem(C: Rows) -> set[int]:
-    """Removable entries of a single column (one box per row)."""
-    return {row[0] for row in C} - set(_reduced(tuple(row[0] for row in C)))
+    """Removable entries of a single column C; ValueError if C is none."""
+    col = _column(C)
+    return set(col) - set(_reduced(col))
 
 
 def red(C: Rows) -> Rows:
-    """C with the boxes carrying removable entries deleted, re-compacted."""
-    return [[e] for e in _reduced(tuple(row[0] for row in C))]
+    """C with the boxes carrying removable entries deleted, re-compacted;
+    ValueError unless C is a single column."""
+    return [[e] for e in _reduced(_column(C))]
 
 
 def _reduction(cols: list[Column], limit: int | None = None) -> tuple[list[Column], dict, int]:
@@ -144,6 +155,8 @@ def p_aii_range(T: Rows, a: int, b: int) -> Rows:
     Shifts entries down by a - 1, runs p_aii in rank (b - a + 1) / 2, and
     shifts back.
     """
+    if not 1 <= a <= b:
+        raise ValueError(f"window [{a}, {b}] needs 1 <= a <= b")
     if (b - a + 1) % 2 != 0:
         raise ValueError(f"window [{a}, {b}] has odd size")
     if any(e < a or e > b for row in T for e in row):

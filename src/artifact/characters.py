@@ -6,6 +6,7 @@ multiplicities.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 
 from .crystal import wt_ghat
@@ -25,10 +26,7 @@ def _add(chi: Character, weight: tuple[int, ...], m: int) -> None:
 
 def restricted_gl_character(lam: Partition, n: int) -> Character:
     """Weight multiset of all semistandard tableaux of shape lam, under wt_ghat."""
-    chi: Character = {}
-    for cols in enumerate_columns(lam, 2 * n):
-        _add(chi, wt_ghat(cols, n), 1)
-    return chi
+    return Counter(wt_ghat(cols, n) for cols in enumerate_columns(lam, 2 * n))
 
 
 def sp_weight(T, n: int) -> tuple[int, ...]:
@@ -39,16 +37,14 @@ def sp_weight(T, n: int) -> tuple[int, ...]:
 
 @cache
 def sp_character(mu: Partition, n: int) -> Character:
-    """Weight multiset of the symplectic (King) tableaux of shape mu.
+    """Weight multiset of the symplectic (King) tableaux of shape mu, as
+    generated by symplectic_columns from King's floor column.
 
     Cached; callers must treat the result as read-only.
     """
     if len(mu) > n:
         raise ValueError(f"mu has more than {n} rows")
-    chi: Character = {}
-    for cols in symplectic_columns(mu, n):
-        _add(chi, sp_weight(cols, n), 1)
-    return chi
+    return Counter(sp_weight(cols, n) for cols in symplectic_columns(mu, n))
 
 
 def decompose(chi: Character, n: int) -> dict[Partition, int]:

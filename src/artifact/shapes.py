@@ -55,20 +55,17 @@ def enumerate_partitions(max_size: int, max_length: int) -> list[Partition]:
 
     Deterministic order: by size, then reverse-lexicographic.
     """
-    found: list[Partition] = []
 
-    def build(prefix: list[int], remaining: int, cap: int) -> None:
-        found.append(tuple(prefix))
-        if len(prefix) >= max_length:
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            build(prefix, remaining - p, p)
-            prefix.pop()
+    def build(remaining: int, cap: int, slots: int):
+        # Partitions of exactly remaining, parts <= cap, at most slots parts,
+        # largest first part first.
+        if remaining == 0:
+            yield ()
+        elif slots > 0:
+            for p in range(min(cap, remaining), 0, -1):
+                yield from ((p, *rest) for rest in build(remaining - p, p, slots - 1))
 
-    build([], max_size, max_size)
-    found.sort(key=lambda lam: (sum(lam), tuple(-p for p in lam)))
-    return found
+    return [lam for size in range(max_size + 1) for lam in build(size, size, max_length)]
 
 
 def parse_partition(text: str) -> Partition:

@@ -170,10 +170,11 @@ def is_symplectic(T: Rows) -> bool:
     return all(row[0] >= 2 * i + 1 for i, row in enumerate(T))
 
 
-def enumerate_columns(lam: Partition, m: int) -> Iterator[list[Column]]:
+def enumerate_columns(lam: Partition, m: int, floor: Column = ()) -> Iterator[list[Column]]:
     """All semistandard tableaux of shape lam over [1, m] as column lists, a
-    chain of strictly increasing tuples each row-wise >= its left neighbour,
-    in lexicographic order of the column reading sequence."""
+    chain of strictly increasing tuples each row-wise >= its left neighbour
+    (the first one >= floor, compared up to the shorter length), in
+    lexicographic order of the column reading sequence."""
     lengths = conjugate(canonical(lam))
 
     @cache
@@ -184,7 +185,7 @@ def enumerate_columns(lam: Partition, m: int) -> Iterator[list[Column]]:
         if len(prefix) == len(lengths):
             yield prefix
             return
-        for col in after(prefix[-1] if prefix else (), lengths[len(prefix)]):
+        for col in after(prefix[-1] if prefix else floor, lengths[len(prefix)]):
             yield from chain(prefix + [col])
 
     return chain([])
@@ -206,8 +207,10 @@ def count_ssyt(lam: Partition, m: int) -> int:
 
 
 def symplectic_columns(mu: Partition, n: int) -> Iterator[list[Column]]:
-    """Column lists of the King tableaux of shape mu over [1, 2n], by their first column."""
-    return (cols for cols in enumerate_columns(mu, 2 * n) if is_symplectic(rows_of(cols[:1])))
+    """Column lists of the King tableaux of shape mu over [1, 2n]: row y of
+    column 1 is >= 2y - 1, so column 1 is row-wise >= the 2n entries 1, 3,
+    ..., 4n - 1 (a row y > n would need an entry above 2n)."""
+    return enumerate_columns(mu, 2 * n, tuple(range(1, 4 * n, 2)))
 
 
 def enumerate_spt(mu: Partition, n: int) -> Iterator[Rows]:

@@ -4,6 +4,8 @@ import signal
 
 import pytest
 
+from artifact import characters
+
 
 @pytest.fixture
 def time_bound():
@@ -21,3 +23,12 @@ def time_bound():
     yield arm
     signal.setitimer(signal.ITIMER_REAL, 0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def cold_sp_character():
+    """An empty sp_character cache before and after the test, so that a fault
+    on the Sp side is neither hidden by a cached value nor left behind."""
+    characters.sp_character.cache_clear()
+    yield
+    characters.sp_character.cache_clear()

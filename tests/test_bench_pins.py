@@ -1,4 +1,5 @@
-"""The library names that the benchmark's tracer wraps must exist.
+"""The library names that the benchmark's tracer wraps must exist, and
+the library imports only the standard library.
 
 bench/tracer.py rebinds each function named in its LAYERS table by a
 timing wrapper and fails with AttributeError when one is missing.  This
@@ -7,10 +8,15 @@ so deleting or renaming a pinned name fails the test suite as well as the
 benchmark.
 """
 
+import ast
 import importlib
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from artifact import characters
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def test_every_pinned_name_exists():
@@ -26,3 +32,28 @@ def test_every_pinned_name_exists():
         if not callable(getattr(importlib.import_module(f"artifact.{home}"), name, None))
     ]
     assert not missing, missing
+
+
+def test_sp_character_keeps_its_cache_info():
+    # bench/child.py reads the cache's hit and miss counts in traced runs.
+    assert callable(characters.sp_character.cache_info)
+
+
+def test_the_library_imports_only_the_standard_library():
+    sources = sorted((ROOT / "src" / "artifact").glob("*.py"))
+    assert len(sources) > 5
+    foreign = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [
+                f"{path.name}: {top}"
+                for top in tops
+                if top not in sys.stdlib_module_names and top != "artifact"
+            ]
+    assert not foreign, foreign

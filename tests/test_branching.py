@@ -119,6 +119,9 @@ def test_rem_goldens():
     assert rem(column_to_rows([1, 2, 4])) == {1, 2}
     assert rem(column_to_rows([1])) == set()
     assert rem([]) == set()
+    for C in ([[1, 2]], [[3], [1]], [[0], [1]]):
+        with pytest.raises(ValueError):
+            rem(C)
 
 
 def test_column_insert_matches_reference():
@@ -140,6 +143,8 @@ def test_red_goldens():
     assert red(column_to_rows([2, 3, 4])) == [[2]]
     assert red(column_to_rows([1, 2, 4])) == [[4]]
     assert red(column_to_rows([1, 3])) == [[1], [3]]
+    with pytest.raises(ValueError):
+        red([[1, 2], [3]])
 
 
 def test_pq_golden():
@@ -238,6 +243,9 @@ def test_p_aii_range():
         p_aii_range([[1]], 1, 3)
     with pytest.raises(ValueError):
         p_aii_range([[1]], 2, 3)
+    for T in ([], [[3]]):
+        with pytest.raises(ValueError, match="needs 1 <= a <= b"):
+            p_aii_range(T, 3, 2)
 
 
 def _n2_universe(max_size):
