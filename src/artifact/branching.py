@@ -25,6 +25,7 @@ from .tableaux import (
     insert_into_columns,
     rows_of,
     shape,
+    single_column,
 )
 
 
@@ -41,25 +42,16 @@ def _reduced(col: Column) -> Column:
     return kept
 
 
-def _column(C: Rows) -> Column:
-    """The entries of C top to bottom; ValueError unless C is a single column:
-    one box per row, strictly increasing, entries >= 1."""
-    cols = columns_of(C)
-    if len(cols) > 1:
-        raise ValueError(f"not a single column: {C}")
-    return cols[0] if cols else ()
-
-
 def rem(C: Rows) -> set[int]:
     """Removable entries of a single column C; ValueError if C is none."""
-    col = _column(C)
+    col = single_column(C)
     return set(col) - set(_reduced(col))
 
 
 def red(C: Rows) -> Rows:
     """C with the boxes carrying removable entries deleted, re-compacted;
     ValueError unless C is a single column."""
-    return [[e] for e in _reduced(_column(C))]
+    return [[e] for e in _reduced(single_column(C))]
 
 
 def _reduction(cols: list[Column], limit: int | None = None) -> tuple[list[Column], dict, int]:
@@ -186,49 +178,36 @@ def _run_lengths(row: list[int], letters: tuple[int, ...]) -> tuple[int, ...] | 
     return tuple(counts)
 
 
-def _padded_rows(T: Rows, count: int) -> list[list[int]]:
-    return [T[i] if i < len(T) else [] for i in range(count)]
+def _row_runs(T: Rows, patterns: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]] | None:
+    """The run lengths of rows 1-4 of T, row y read against patterns[y - 1]
+    (a missing row is empty); None if T has more than 4 rows or a row is not
+    runs of its letters in order.  ValueError on an entry above 4."""
+    _require_n2(T)
+    if len(T) > 4:
+        return None
+    rows = list(T) + [[]] * (4 - len(T))
+    runs = [_run_lengths(row, letters) for row, letters in zip(rows, patterns)]
+    return None if None in runs else runs
 
 
 def n2_family_dominant(T: Rows) -> bool:
     """Closed-form description of the rank-2 dominant tableaux."""
-    _require_n2(T)
-    if len(T) > 4:
+    runs = _row_runs(T, ((1,), (2, 4), (3, 4), (4,)))
+    if runs is None:
         return False
-    lam = shape(T)
-    r1, r2, r3, r4 = _padded_rows(T, 4)
-    if _run_lengths(r1, (1,)) is None:
-        return False
-    if _run_lengths(r2, (2, 4)) is None:
-        return False
-    runs3 = _run_lengths(r3, (3, 4))
-    if runs3 is None:
-        return False
-    if _run_lengths(r4, (4,)) is None:
-        return False
+    lam, runs3 = shape(T), runs[2]
     return runs3[1] <= part(lam, 1) - part(lam, 2)
 
 
 def n2_family_khw(T: Rows) -> bool:
     """Closed-form description of the rank-2 highest-weight tableaux."""
-    _require_n2(T)
-    if len(T) > 4:
+    runs = _row_runs(T, ((1, 2), (2, 3), (3, 4), (4,)))
+    if runs is None:
         return False
     lam = shape(T)
     l1, l2, l3, l4 = (part(lam, y) for y in range(1, 5))
-    r1, r2, r3, r4 = _padded_rows(T, 4)
-    runs1 = _run_lengths(r1, (1, 2))
-    if runs1 is None:
-        return False
-    p = runs1[0]
-    runs2 = _run_lengths(r2, (2, 3))
-    if runs2 is None or runs2[0] != min(p, l2):
-        return False
-    runs3 = _run_lengths(r3, (3, 4))
-    if runs3 is None:
-        return False
-    a = runs3[0]
-    if _run_lengths(r4, (4,)) is None:
+    p, a = runs[0][0], runs[2][0]
+    if runs[1][0] != min(p, l2):
         return False
     if a - l4 > l1 - l2:
         return False
@@ -238,22 +217,11 @@ def n2_family_khw(T: Rows) -> bool:
 def _klw_form(T: Rows):
     """Run data (lam, p, q, r) when T matches the lowest-weight row form:
     row 1 all 1s, row 2 = 2^p 3^q 4^r, row 3 = 3^(lam_4) 4^(lam_3 - lam_4),
-    row 4 all 4s.  None otherwise."""
-    if len(T) > 4:
+    row 4 all 4s.  None otherwise; ValueError on an entry above 4."""
+    runs = _row_runs(T, ((1,), (2, 3, 4), (3, 4), (4,)))
+    if runs is None or runs[2][0] != part(lam := shape(T), 4):
         return None
-    lam = shape(T)
-    r1, r2, r3, r4 = _padded_rows(T, 4)
-    if _run_lengths(r1, (1,)) is None:
-        return None
-    runs2 = _run_lengths(r2, (2, 3, 4))
-    if runs2 is None:
-        return None
-    runs3 = _run_lengths(r3, (3, 4))
-    if runs3 is None or runs3[0] != part(lam, 4):
-        return None
-    if _run_lengths(r4, (4,)) is None:
-        return None
-    return lam, *runs2
+    return lam, *runs[1]
 
 
 def n2_family_klw(T: Rows) -> bool:
@@ -262,7 +230,6 @@ def n2_family_klw(T: Rows) -> bool:
     Known not to match is_k_lowest; kept verbatim so the discrepancy is
     visible.  See n2_family_klw_corrected for the exact version.
     """
-    _require_n2(T)
     form = _klw_form(T)
     if form is None:
         return False
@@ -280,7 +247,6 @@ def n2_family_klw_corrected(T: Rows) -> bool:
     every tableau with at most 9 boxes in a 4-row shape (checked
     exhaustively).
     """
-    _require_n2(T)
     form = _klw_form(T)
     if form is None:
         return False

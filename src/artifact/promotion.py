@@ -111,13 +111,9 @@ def res(T: Rows, a: int, b: int, c: int, d: int) -> Rows:
     Boxes with entries below a or strictly between the bands become holes;
     entries above d are dropped.
     """
-    if not a <= b <= c <= d:
-        raise ValueError("bands must satisfy a <= b <= c <= d")
-    cells: Cells = {}
+    cells = restrict(T, a, b, c, d)
     for box, e in cells_from_rows(T).items():
-        if a <= e <= b or c <= e <= d:
-            cells[box] = e
-        elif e < a or b < e < c:
+        if e < a or b < e < c:
             cells[box] = None
     return rect(cells)
 

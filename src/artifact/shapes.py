@@ -38,18 +38,6 @@ def young_diagram(lam: Partition) -> set[Box]:
     return {(x, y) for y, row in enumerate(lam, start=1) for x in range(1, row + 1)}
 
 
-def contains(lam: Partition, mu: Partition) -> bool:
-    """True iff the diagram of mu fits inside the diagram of lam."""
-    return all(part(lam, y) >= part(mu, y) for y in range(1, len(mu) + 1))
-
-
-def is_vertical_strip(lam: Partition, mu: Partition) -> bool:
-    """True iff mu is contained in lam and lam/mu has at most one box per row."""
-    if not contains(lam, mu):
-        return False
-    return all(part(lam, y) - part(mu, y) <= 1 for y in range(1, len(lam) + 1))
-
-
 def enumerate_partitions(max_size: int, max_length: int) -> list[Partition]:
     """All partitions with |lam| <= max_size, len(lam) <= max_length.
 

@@ -31,10 +31,6 @@ def freeze(T: Rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in T)
 
 
-def thaw(frozen) -> Rows:
-    return [list(row) for row in frozen]
-
-
 def validate_ssyt(T: Rows) -> bool:
     """Rows are non-empty, weakly increase and weakly decrease in length,
     columns strictly increase downward, and entries are at least 1.  One
@@ -119,6 +115,15 @@ def rows_of(cols: list[Column]) -> Rows:
     return [list(row[: row.index(None)] if None in row else row) for row in zip_longest(*cols)]
 
 
+def single_column(C: Rows) -> Column:
+    """The entries of C top to bottom; ValueError unless C is a single column:
+    one box per row, strictly increasing, entries >= 1."""
+    cols = columns_of(C)
+    if len(cols) > 1:
+        raise ValueError(f"not a single column: {C}")
+    return cols[0] if cols else ()
+
+
 def insert_into_columns(m: int, cols: list[Column]) -> None:
     """Column-insert m >= 1 into semistandard columns in place, bumping the
     topmost entry >= m of each column; the result is semistandard."""
@@ -139,14 +144,12 @@ def column_insert(m: int, T: Rows) -> Rows:
 def column_star(C: Rows, S: Rows) -> Rows:
     """The product C * S: column-insert the entries of C into S, top first.
 
-    C must be a single column (one box per row) of entries >= 1 and S
-    semistandard; ValueError otherwise.
+    C must be a single column (one box per row, strictly increasing, entries
+    >= 1) and S semistandard; ValueError otherwise.
     """
-    if any(len(row) != 1 or row[0] < 1 for row in C):
-        raise ValueError(f"not a single column of entries >= 1: {C}")
-    cols = columns_of(S)
-    for row in C:
-        insert_into_columns(row[0], cols)
+    col, cols = single_column(C), columns_of(S)
+    for m in col:
+        insert_into_columns(m, cols)
     return rows_of(cols)
 
 

@@ -1,5 +1,7 @@
 """Column reduction, the P/Q correspondence, and the rank-2 closed forms."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -289,3 +291,28 @@ def test_n2_helpers_reject_large_entries():
         n2_family_dominant([[5]])
     with pytest.raises(ValueError):
         n2_condition_klw([[6]])
+
+
+# sha256 of every output (or exception) of the four closed-form families on
+# the criterion-7 universe, every tableau over [1, 4] in the 4x4 box, plus
+# inputs outside it: entries of 5 and rows longer than 4.
+N2_FAMILIES_SHA256 = "965c6ee18715c79c2edcad530545c2a35fc1019864ea6f7a38762a2b607fa8d8"
+
+
+def test_n2_families_are_golden():
+    box = [lam for lam in enumerate_partitions(16, 4) if not lam or lam[0] <= 4]
+    universe = [T for lam in box for T in enumerate_ssyt(lam, 4)]
+    outside = [
+        [[5]], [[1, 5]], [[1], [5]], [[1, 2, 2], [3, 5]], [[1], [2], [3], [5]],
+        [[1, 1, 1, 1, 1]], [[1, 1, 2, 2, 2], [2, 3, 3], [3, 4], [4]],
+    ]
+    digest = hashlib.sha256()
+    for T in universe + outside:
+        for family in (n2_family_dominant, n2_family_khw, n2_family_klw, n2_family_klw_corrected):
+            try:
+                out = repr(family(T))
+            except ValueError as exc:
+                out = f"ValueError: {exc}"
+            digest.update(f"{family.__name__} {T} {out}\n".encode())
+    assert len(universe) == 2772
+    assert digest.hexdigest() == N2_FAMILIES_SHA256

@@ -1,6 +1,7 @@
 """Jeu de taquin, rectification, restriction, and window promotion."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +64,34 @@ def test_res_golden():
     assert res(T, 1, 6, 6, 6) == T
     with pytest.raises(ValueError):
         res(T, 3, 2, 5, 6)
+
+
+def _res_reference(T, a, b, c, d):
+    """The former body of res: its own band check and band filter."""
+    if not a <= b <= c <= d:
+        raise ValueError("bands must satisfy a <= b <= c <= d")
+    cells = {}
+    for box, e in cells_from_rows(T).items():
+        if a <= e <= b or c <= e <= d:
+            cells[box] = e
+        elif e < a or b < e < c:
+            cells[box] = None
+    return rect(cells)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_res_matches_reference_on_every_band():
+    bands = list(combinations_with_replacement(range(1, 6), 4))
+    for lam in enumerate_partitions(4, 5):
+        for T in enumerate_ssyt(lam, 5):
+            for band in bands:
+                assert _outcome(res, T, *band) == _outcome(_res_reference, T, *band), (T, band)
 
 
 def test_rect_equals_insertion_of_reading_word():

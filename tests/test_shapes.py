@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 from artifact.shapes import (
     canonical,
     conjugate,
-    contains,
     enumerate_partitions,
     format_partition,
-    is_vertical_strip,
     parse_partition,
     part,
     young_diagram,
@@ -39,20 +37,6 @@ def test_part_beyond_length_is_zero():
 def test_young_diagram_boxes():
     assert young_diagram((2, 1)) == {(1, 1), (2, 1), (1, 2)}
     assert young_diagram(()) == set()
-
-
-def test_contains():
-    assert contains((3, 2), (2, 2))
-    assert contains((3, 2), ())
-    assert not contains((3, 2), (3, 3))
-    assert not contains((3,), (1, 1))
-
-
-def test_vertical_strip():
-    assert is_vertical_strip((2, 2), (2, 1))
-    assert is_vertical_strip((2, 1), (1,))
-    assert not is_vertical_strip((3, 1), (1, 1))
-    assert is_vertical_strip((1,), (1,))
 
 
 def test_enumeration_order_golden():
