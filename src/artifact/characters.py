@@ -1,17 +1,22 @@
 """Independent character oracle for the restriction multiplicities.
 
 Characters are dicts mapping integer weight tuples of length n to positive
-multiplicities.
+multiplicities.  Both characters come from a transfer over the columns of
+the shape, which lists no tableaux and shares no code with the enumerator
+of the four models.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache
+from itertools import combinations
+from math import prod
+from operator import add, le
 
 from .crystal import wt_ghat
-from .shapes import Partition, canonical
-from .tableaux import content, enumerate_columns, symplectic_columns
+from .shapes import Partition, canonical, conjugate, part
+from .tableaux import Column, content, king_floor
 
 Character = dict[tuple[int, ...], int]
 
@@ -24,9 +29,36 @@ def _add(chi: Character, weight: tuple[int, ...], m: int) -> None:
         chi.pop(weight, None)
 
 
+def _column_transfer(lam: Partition, n: int, weight, floor: Column = ()) -> Character:
+    """Weight multiset, under weight, of the semistandard tableaux of shape lam
+    over [1, 2n] whose first column is row-wise >= floor, without listing one.
+
+    A transfer over the column lengths of lam: the state maps each possible
+    last column to a dict of partial weight -> number of column chains, and a
+    column row-wise >= its left neighbour adds weight([col], n).  This is exact
+    because weight is linear in the content, so additive over the columns.
+    """
+    state = {floor: {(0,) * n: 1}}
+    for k in conjugate(canonical(lam)):
+        step = {}
+        for col in combinations(range(1, 2 * n + 1), k):
+            merged = Counter()
+            for left, partial in state.items():
+                if all(map(le, left, col)):
+                    merged.update(partial)
+            if merged:
+                w = weight([col], n)
+                step[col] = {tuple(map(add, v, w)): m for v, m in merged.items()}
+        state = step
+    total = Counter()
+    for partial in state.values():
+        total.update(partial)
+    return total
+
+
 def restricted_gl_character(lam: Partition, n: int) -> Character:
     """Weight multiset of all semistandard tableaux of shape lam, under wt_ghat."""
-    return Counter(wt_ghat(cols, n) for cols in enumerate_columns(lam, 2 * n))
+    return _column_transfer(lam, n, wt_ghat)
 
 
 def sp_weight(T, n: int) -> tuple[int, ...]:
@@ -37,14 +69,28 @@ def sp_weight(T, n: int) -> tuple[int, ...]:
 
 @cache
 def sp_character(mu: Partition, n: int) -> Character:
-    """Weight multiset of the symplectic (King) tableaux of shape mu, as
-    generated by symplectic_columns from King's floor column.
+    """Weight multiset of the symplectic (King) tableaux of shape mu: column 1
+    is row-wise >= king_floor(n).
 
     Cached; callers must treat the result as read-only.
     """
     if len(mu) > n:
         raise ValueError(f"mu has more than {n} rows")
-    return Counter(sp_weight(cols, n) for cols in symplectic_columns(mu, n))
+    return _column_transfer(mu, n, sp_weight, king_floor(n))
+
+
+def sp_dimension(mu: Partition, n: int) -> int:
+    """Dimension of the Sp(2n) irreducible mu by Weyl's formula: the product
+    of the l_i and of the l_i^2 - l_j^2 over i < j, l_i = mu_i + n - i + 1,
+    divided by the same product at mu = ()."""
+    if len(mu) > n:
+        raise ValueError(f"mu has more than {n} rows")
+
+    def weyl(ls) -> int:
+        return prod(ls) * prod(a * a - b * b for a, b in combinations(ls, 2))
+
+    rho = range(n, 0, -1)
+    return weyl([part(mu, i) + r for i, r in enumerate(rho, start=1)]) // weyl(rho)
 
 
 def decompose(chi: Character, n: int) -> dict[Partition, int]:

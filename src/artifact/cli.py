@@ -29,6 +29,7 @@ from .verify import (
     SuiteResult,
     VerificationReport,
     bijection_suite,
+    check_budget,
     promotion_suite_exhaustive,
     promotion_suite_random,
     verify_shape,
@@ -121,13 +122,20 @@ def _report_dict(report: VerificationReport) -> dict:
     }
 
 
+def _require_budget(args) -> None:
+    if args.budget is not None and args.budget < 1:
+        raise UsageError("--budget must be positive")
+
+
 def cmd_branch(args) -> int:
+    _require_budget(args)
     try:
         lam = parse_partition(args.lam)
     except ValueError as exc:
         raise UsageError(exc) from exc
     if len(lam) > 2 * args.n:
         raise UsageError(f"lambda has more than {2 * args.n} rows")
+    check_budget([lam], args.n, args.budget)
     report = verify_shape(lam, args.n)
     if args.json:
         print(json.dumps(_report_dict(report), sort_keys=True))
@@ -141,8 +149,7 @@ def cmd_branch(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_size < 1:
         raise UsageError("--max-size must be positive")
-    if args.budget is not None and args.budget < 1:
-        raise UsageError("--budget must be positive")
+    _require_budget(args)
     reports = verify_sweep(args.n, args.max_size, budget=args.budget)
     suite = SuiteResult()
     for report in reports:
@@ -272,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     branch = sub.add_parser("branch", help="decompose one shape into symplectic classes")
     branch.add_argument("--n", type=int, required=True)
     branch.add_argument("--lambda", dest="lam", required=True, help='partition, e.g. "2,1"')
+    branch.add_argument("--budget", type=int, default=None, help="cap on enumerated tableaux")
     branch.add_argument("--json", action="store_true")
     branch.set_defaults(func=cmd_branch)
 

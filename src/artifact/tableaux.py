@@ -45,14 +45,9 @@ def validate_ssyt(T: Rows) -> bool:
     return True
 
 
-def count_entry(T: Rows, m: int) -> int:
-    """Number of boxes of T carrying the entry m."""
-    return sum(row.count(m) for row in T)
-
-
 def content(T: Rows, m: int) -> tuple[int, ...]:
     """Entry counts (T[1], ..., T[m]) in one pass over the rows, or the
-    columns, of T; entries outside [1, m] are not counted, as by count_entry."""
+    columns, of T; entries outside [1, m] are not counted."""
     counts = [0] * (m + 1)
     for row in T:
         for e in row:
@@ -64,11 +59,6 @@ def content(T: Rows, m: int) -> tuple[int, ...]:
 def row_word(T: Rows) -> list[int]:
     """Read the bottom row first, each row left to right."""
     return [e for row in reversed(T) for e in row]
-
-
-def inverse_column_word(T: Rows) -> list[int]:
-    """Read the rightmost column first, each column top to bottom."""
-    return [e for col in reversed(columns_of(T)) for e in col]
 
 
 def schensted_insert(m: int, T: Rows) -> Rows:
@@ -153,16 +143,6 @@ def column_star(C: Rows, S: Rows) -> Rows:
     return rows_of(cols)
 
 
-def first_column(T: Rows) -> list[int]:
-    """Entries of column 1, top to bottom."""
-    return [row[0] for row in T]
-
-
-def rest_columns(T: Rows) -> Rows:
-    """The tableau of columns 2, 3, ..., shifted one column left."""
-    return [row[1:] for row in T if len(row) > 1]
-
-
 def column_to_rows(entries) -> Rows:
     """Single-column tableau with the given entries, top to bottom."""
     return [[e] for e in entries]
@@ -209,11 +189,17 @@ def count_ssyt(lam: Partition, m: int) -> int:
     return prod(m + x - y for x, y in boxes) // hooks
 
 
+def king_floor(n: int) -> Column:
+    """King's floor for column 1 of a symplectic tableau over [1, 2n]: row y
+    is >= 2y - 1, so the 2n entries 1, 3, ..., 4n - 1 (a row y > n would
+    need an entry above 2n)."""
+    return tuple(range(1, 4 * n, 2))
+
+
 def symplectic_columns(mu: Partition, n: int) -> Iterator[list[Column]]:
-    """Column lists of the King tableaux of shape mu over [1, 2n]: row y of
-    column 1 is >= 2y - 1, so column 1 is row-wise >= the 2n entries 1, 3,
-    ..., 4n - 1 (a row y > n would need an entry above 2n)."""
-    return enumerate_columns(mu, 2 * n, tuple(range(1, 4 * n, 2)))
+    """Column lists of the King tableaux of shape mu over [1, 2n]: column 1
+    is row-wise >= king_floor(n)."""
+    return enumerate_columns(mu, 2 * n, king_floor(n))
 
 
 def enumerate_spt(mu: Partition, n: int) -> Iterator[Rows]:

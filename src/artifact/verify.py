@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .branching import _reduction, staircase_flags
-from .characters import decompose, restricted_gl_character, sp_character
+from .characters import decompose, restricted_gl_character, sp_dimension
 from .crystal import ab_sequences, column_dominance_violation, wt_ghat, wt_k
 from .promotion import phi, pr, pr_inv, psi
 from .shapes import Partition, canonical, conjugate, enumerate_partitions, format_partition
@@ -104,9 +104,7 @@ def verify_shape(lam: Partition, n: int) -> VerificationReport:
         Counter(oracle),
     ]
     rows = [ModelRow(mu, *(tally[mu] for tally in tallies)) for mu in sorted(set().union(*tallies))]
-    sp_dim_sum = sum(
-        m * sum(sp_character(mu, n).values()) for mu, m in oracle.items()
-    )
+    sp_dim_sum = sum(m * sp_dimension(mu, n) for mu, m in oracle.items())
     return VerificationReport(
         n=n,
         lam=lam,
@@ -120,18 +118,26 @@ def verify_shape(lam: Partition, n: int) -> VerificationReport:
     )
 
 
+def check_budget(shapes: list[Partition], n: int, budget: int | None) -> None:
+    """Raise BudgetExceeded at the first shape where the cumulative number of
+    tableaux over [1, 2n], by the hook-content formula, passes the budget;
+    no budget is no cap."""
+    if budget is None:
+        return
+    for lam, spent in zip(shapes, accumulate(count_ssyt(lam, 2 * n) for lam in shapes)):
+        if spent > budget:
+            raise BudgetExceeded(
+                f"tableau budget {budget} exceeded at shape {format_partition(lam)}"
+            )
+
+
 def verify_sweep(n: int, max_size: int, budget: int | None = None) -> list[VerificationReport]:
     """Verify every shape with at most max_size boxes and 2n rows.
 
     The budget caps the cumulative number of tableaux; it is checked first.
     """
     shapes = enumerate_partitions(max_size, 2 * n)
-    if budget is not None:
-        for lam, spent in zip(shapes, accumulate(count_ssyt(lam, 2 * n) for lam in shapes)):
-            if spent > budget:
-                raise BudgetExceeded(
-                    f"tableau budget {budget} exceeded at shape {format_partition(lam)}"
-                )
+    check_budget(shapes, n, budget)
     return [verify_shape(lam, n) for lam in shapes]
 
 

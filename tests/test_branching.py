@@ -34,14 +34,13 @@ from artifact.tableaux import (
     columns_of,
     enumerate_spt,
     enumerate_ssyt,
-    first_column,
     freeze,
     is_symplectic,
-    rest_columns,
     shape,
     validate_ssyt,
 )
 from artifact.verify import random_ssyt
+from helpers import first_column, rest_columns
 
 
 # Reference implementation: the former row-based column insertion, the

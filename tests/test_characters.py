@@ -1,5 +1,6 @@
 """The symplectic character oracle and the greedy decomposition."""
 
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -9,10 +10,40 @@ from artifact.characters import (
     decompose,
     restricted_gl_character,
     sp_character,
+    sp_dimension,
     sp_weight,
 )
+from artifact.crystal import wt_ghat
 from artifact.shapes import enumerate_partitions
-from artifact.tableaux import enumerate_ssyt
+from artifact.tableaux import enumerate_columns, enumerate_ssyt, symplectic_columns
+
+
+# References: the former bodies of the two characters, one Counter of
+# weights over the enumerated tableaux.
+def _restricted_gl_character_reference(lam, n):
+    return Counter(wt_ghat(cols, n) for cols in enumerate_columns(lam, 2 * n))
+
+
+def _sp_character_reference(mu, n):
+    return Counter(sp_weight(cols, n) for cols in symplectic_columns(mu, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_column_transfer_matches_the_enumeration_references(n):
+    for lam in enumerate_partitions(7, 2 * n):
+        assert restricted_gl_character(lam, n) == _restricted_gl_character_reference(lam, n), lam
+    for mu in enumerate_partitions(6, n):
+        assert sp_character(mu, n) == _sp_character_reference(mu, n), mu
+
+
+def test_sp_dimension_is_the_mass_of_sp_character():
+    pairs = [(mu, n) for n in range(1, 5) for mu in enumerate_partitions(8, n)]
+    assert len(pairs) == 128
+    for mu, n in pairs:
+        assert sp_dimension(mu, n) == sum(sp_character(mu, n).values()), (mu, n)
+    assert [sp_dimension(mu, 2) for mu in ((), (1,), (1, 1), (2,), (2, 2))] == [1, 4, 5, 10, 14]
+    with pytest.raises(ValueError):
+        sp_dimension((1, 1, 1), 2)
 
 
 def test_sp_weight():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from artifact import cli
+from artifact import cli, verify
 from artifact.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -16,6 +16,7 @@ from artifact.cli import (
     main,
     parse_tableau,
 )
+from artifact.tableaux import count_ssyt
 
 
 def test_parse_tableau_roundtrip():
@@ -77,6 +78,28 @@ def test_verify_rejects_non_positive_bounds(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+def test_branch_budget(capsys, monkeypatch, time_bound):
+    time_bound(10)
+    assert main(["branch", "--n", "2", "--lambda", "2,2", "--budget", "20"]) == EXIT_PASS
+    assert "2,2\t2,2\t1\t1\t1\t1\t1\tok" in capsys.readouterr().out
+    assert main(["branch", "--n", "2", "--lambda", "2,2", "--budget", "19"]) == EXIT_BUDGET
+    assert capsys.readouterr().out == ""
+
+    def no_enumeration(*args):
+        raise AssertionError("enumerated a shape over its budget")
+
+    # Counted by the hook-content formula before any tableau is enumerated.
+    assert count_ssyt((8, 4, 2), 8) == 7_567_560
+    monkeypatch.setattr(verify, "enumerate_columns", no_enumeration)
+    assert main(["branch", "--n", "4", "--lambda", "8,4,2", "--budget", "1000000"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tableau budget 1000000 exceeded at shape 8,4,2\n"
+    for budget in ("0", "-1"):
+        assert main(["branch", "--n", "2", "--lambda", "2,2", "--budget", budget]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --budget must be positive\n"
 
 
 def test_verify_json(capsys):

@@ -29,12 +29,12 @@ from artifact.characters import sp_weight
 from artifact.shapes import enumerate_partitions
 from artifact.tableaux import (
     columns_of,
-    count_entry,
     enumerate_ssyt,
     freeze,
     rows_of,
     validate_ssyt,
 )
+from helpers import count_entry
 
 
 def test_convention_pins():

@@ -1,13 +1,13 @@
 """Named faults that the checker must detect.
 
 Each fault replaces, by monkeypatch, the module global that the library
-actually calls: characters binds symplectic_columns, wt_ghat and sp_weight
-by name, so patching them in tableaux or crystal would not reach the
-oracle.  A fault is detected when verify_sweep(2, 5) or verify_sweep(3, 4)
-gives a failing report or raises RuntimeError (exit 4 on the command
-line); a pass or a hang is a miss.  A fault that no sweep can see stays in
-the table, marked equivalent, with the argument and the check that does
-see it.
+actually calls: characters binds king_floor, wt_ghat and sp_weight by name
+and looks them up at call time, so patching them in tableaux or crystal
+would not reach the oracle.  A fault is detected when verify_sweep(2, 5)
+or verify_sweep(3, 4) gives a failing report or raises RuntimeError (exit
+4 on the command line); a pass or a hang is a miss.  A fault that no
+sweep can see stays in the table, marked equivalent, with the argument and
+the check that does see it.
 """
 
 import pytest
@@ -21,11 +21,6 @@ SWEEPS = ((2, 5), (3, 4))
 SP_WEIGHT = characters.sp_weight
 
 
-def _king_floor(floor):
-    """symplectic_columns with floor(n) in place of King's 1, 3, ..., 4n - 1."""
-    return lambda mu, n: enumerate_columns(mu, 2 * n, floor(n))
-
-
 def _wt_ghat_pairing_i_with_2n_minus_i(T, n):
     c = content(T, 2 * n)
     return tuple(c[i] - c[2 * n - i - 2] for i in range(n))
@@ -37,19 +32,13 @@ def _sp_weight_negated(T, n):
 
 # name -> (global of characters, replacement)
 DETECTED = {
-    "King floor 1, 2, 3, ...": (
-        "symplectic_columns",
-        _king_floor(lambda n: tuple(range(1, 2 * n + 1))),
-    ),
-    "no King floor": ("symplectic_columns", _king_floor(lambda n: ())),
+    "King floor 1, 2, 3, ...": ("king_floor", lambda n: tuple(range(1, 2 * n + 1))),
+    "no King floor": ("king_floor", lambda n: ()),
     "King relaxed to 2y - 2 (floor 0, 2, 4, ...)": (
-        "symplectic_columns",
-        _king_floor(lambda n: tuple(range(0, 4 * n - 1, 2))),
+        "king_floor",
+        lambda n: tuple(range(0, 4 * n - 1, 2)),
     ),
-    "King floor 2, 4, 6, ...": (
-        "symplectic_columns",
-        _king_floor(lambda n: tuple(range(2, 4 * n + 1, 2))),
-    ),
+    "King floor 2, 4, 6, ...": ("king_floor", lambda n: tuple(range(2, 4 * n + 1, 2))),
     "oracle wt_ghat pairs i with 2n - i": ("wt_ghat", _wt_ghat_pairing_i_with_2n_minus_i),
 }
 
@@ -59,13 +48,10 @@ EQUIVALENT = {
     # multiset: each sp_character, and so each decomposition, is unchanged.
     "sp_weight negated": ("sp_weight", _sp_weight_negated),
     # The cut floor bounds rows 1..n only, and sp_character rejects a mu
-    # with more than n rows before it generates anything, so every
+    # with more than n rows before the transfer runs, so every
     # character it returns is unchanged.  The King reference in
     # test_tableaux sees it: at mu = (1, 1), n = 1 the column (1, 2) passes.
-    "King floor cut to n entries": (
-        "symplectic_columns",
-        _king_floor(lambda n: tuple(range(1, 2 * n, 2))),
-    ),
+    "King floor cut to n entries": ("king_floor", lambda n: tuple(range(1, 2 * n, 2))),
 }
 
 
@@ -100,4 +86,4 @@ def test_equivalent_mutant_passes_every_sweep(name, monkeypatch, time_bound, col
 def test_the_king_reference_sees_a_floor_cut_to_n_entries():
     cut = EQUIVALENT["King floor cut to n entries"][1]
     king = [T for T in enumerate_ssyt((1, 1), 2) if is_symplectic(T)]
-    assert [rows_of(cols) for cols in cut((1, 1), 1)] != king
+    assert [rows_of(cols) for cols in enumerate_columns((1, 1), 2, cut(1))] != king

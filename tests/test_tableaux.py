@@ -10,24 +10,21 @@ from artifact.tableaux import (
     column_to_rows,
     columns_of,
     content,
-    count_entry,
     count_ssyt,
     enumerate_columns,
     enumerate_spt,
     enumerate_ssyt,
-    first_column,
     freeze,
     insertion_tableau,
-    inverse_column_word,
     is_symplectic,
     knuth_equivalent,
-    rest_columns,
     row_word,
     rows_of,
     schensted_insert,
     shape,
     validate_ssyt,
 )
+from helpers import count_entry, first_column, inverse_column_word, rest_columns
 
 
 def test_shape_and_freeze():

@@ -16,6 +16,7 @@ from artifact.shapes import enumerate_partitions
 from artifact.tableaux import enumerate_ssyt
 from artifact.verify import (
     BudgetExceeded,
+    ModelRow,
     SuiteResult,
     bijection_suite,
     random_shape,
@@ -94,39 +95,50 @@ def test_random_ssyt_draws_are_golden(seed, n):
     assert hashlib.sha256(json.dumps(drawn).encode()).hexdigest() == RANDOM_SSYT_GOLDENS[seed, n]
 
 
-def _without_shape_22(generate):
-    """The generator, except that shape (2, 2) has no tableaux."""
-    return lambda lam, m, *rest: iter(()) if tuple(lam) == (2, 2) else generate(lam, m, *rest)
+def _without_shape_22(function, empty):
+    """The function, except that shape (2, 2) gives empty()."""
+    return lambda lam, *rest: empty() if tuple(lam) == (2, 2) else function(lam, *rest)
 
 
 def test_shared_fault_on_every_side_stops_with_an_internal_error(
     monkeypatch, capsys, time_bound, cold_sp_character
 ):
-    """Shape (2, 2) missing on the model, GL and Sp sides: subtracting the
-    empty sp_character((2, 2)) cannot remove the weight (2, 2), so decompose
-    raises instead of looping."""
+    """Shape (2, 2) missing on the model side and from the column transfer
+    of both characters: subtracting the empty sp_character((2, 2)) cannot
+    remove the weight (2, 2), so decompose raises instead of looping."""
     time_bound(30)
-    generate = tableaux.enumerate_columns
-    for module in (verify, characters, tableaux):
-        monkeypatch.setattr(module, "enumerate_columns", _without_shape_22(generate))
+    monkeypatch.setattr(
+        verify, "enumerate_columns", _without_shape_22(tableaux.enumerate_columns, tuple)
+    )
+    monkeypatch.setattr(
+        characters, "_column_transfer", _without_shape_22(characters._column_transfer, dict)
+    )
     with pytest.raises(RuntimeError, match=r"left the weight \(2, 2\)"):
         verify_sweep(2, 6)
     assert main(["verify", "--n", "2", "--max-size", "6"]) == EXIT_INTERNAL
     assert capsys.readouterr().err.startswith("internal error: subtracting")
 
 
-def test_shared_fault_on_model_and_gl_sides_fails_the_dimension_check(
+def test_shared_fault_on_the_model_side_fails_the_oracle_rows_and_dimension_check(
     monkeypatch, capsys, time_bound
 ):
-    """Shape (2, 2) missing on the model and GL sides only: the five models
-    agree on no tableaux at all, and only the hook-content count sees it."""
+    """Shape (2, 2) missing on the model side: the oracle, which lists no
+    tableaux, still finds mu = (), (1, 1) and (2, 2) once each, where the
+    four models find nothing, and the Weyl dimensions of those three sum to
+    20 against no tableaux."""
     time_bound(30)
-    generate = tableaux.enumerate_columns
-    for module in (verify, characters):
-        monkeypatch.setattr(module, "enumerate_columns", _without_shape_22(generate))
+    monkeypatch.setattr(
+        verify, "enumerate_columns", _without_shape_22(tableaux.enumerate_columns, tuple)
+    )
     reports = verify_sweep(2, 6)
     failing = [r for r in reports if not r.passed]
-    assert [(r.lam, r.sst_total, r.sp_dim_sum, r.rows) for r in failing] == [((2, 2), 0, 0, [])]
+    assert [(r.lam, r.sst_total, r.sp_dim_sum) for r in failing] == [((2, 2), 0, 20)]
+    assert failing[0].rows == [
+        ModelRow(mu, g_dom=0, khw=0, klw=0, rec=0, oracle=1) for mu in ((), (1, 1), (2, 2))
+    ]
+    assert not any(row.ok for row in failing[0].rows)
     assert not failing[0].dim_ok
     assert main(["verify", "--n", "2", "--max-size", "6"]) == EXIT_FAIL
-    assert "dimension identity\tMISMATCH" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "2,2\t2,2\t1\t0\t0\t0\t0\tMISMATCH" in out
+    assert "dimension identity\tMISMATCH" in out
