@@ -1,9 +1,9 @@
 """Column reduction, the P/Q correspondence, and highest/lowest weight tests.
 
-P is computed on strictly increasing column tuples; the public functions
-take rows, validate them once and convert them to columns.  The recording
-object Q is a dict mapping boxes (x, y) to the step index at which the box
-disappeared from the shape.
+The suc chain [T, suc(T), ..., P] is computed on strictly increasing column
+tuples; the public functions take rows, validate them once and convert them
+to columns.  The recording object Q maps each box (x, y) to the step of the
+chain at which the box disappeared from the shape.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .tableaux import (
     Rows,
     columns_of,
     enumerate_columns,
+    freeze,
     insert_into_columns,
     rows_of,
     shape,
@@ -54,44 +55,43 @@ def red(C: Rows) -> Rows:
     return [[e] for e in _reduced(single_column(C))]
 
 
-def _reduction(cols: list[Column], limit: int | None = None) -> tuple[list[Column], dict, int]:
-    """The suc loop on semistandard columns, unchecked: (P, Q, steps) at the
-    first fixed point, with steps counting the steps that changed the tableau
-    and Q read from the change in column lengths.  A limit stops the loop
-    after that many steps; without one, more than |T| + 1 steps raise
-    RuntimeError."""
-    Q: dict[tuple[int, int], int] = {}
-    budget = sum(map(len, cols)) + 1
-    for step in range(budget + 1 if limit is None else limit):
+def _suc_chain(cols: list[Column]) -> list[list[Column]]:
+    """The suc orbit of semistandard columns, unchecked: [T, suc(T), ..., P]
+    up to the first fixed point P; RuntimeError if P takes more than
+    |T| + 1 steps."""
+    chain = [cols]
+    for _ in range(sum(map(len, cols)) + 2):
         # With nothing removable, suc(T) = C * rest = T: the fixed point.
         if not cols or len(kept := _reduced(cols[0])) == len(cols[0]):
-            return cols, Q, step
-        rest = cols[1:]
+            return chain
+        cols = cols[1:]
         for m in kept:
-            insert_into_columns(m, rest)
-        for x, col in enumerate(cols):
-            for y in range(len(rest[x]) if x < len(rest) else 0, len(col)):
-                Q[x + 1, y + 1] = step + 1
-        cols = rest
-    if limit is None:
-        raise RuntimeError("suc did not stabilize within the size budget")
-    return cols, Q, limit
+            insert_into_columns(m, cols)
+        chain.append(cols)
+    raise RuntimeError("suc did not stabilize within the size budget")
 
 
 def suc(T: Rows) -> Rows:
     """Reduce the first column and column-insert it back into the rest."""
-    return rows_of(_reduction(columns_of(T), 1)[0])
+    chain = _suc_chain(columns_of(T))
+    return rows_of(chain[min(1, len(chain) - 1)])
 
 
 def p_aii(T: Rows) -> Rows:
     """Iterate suc to its fixed point (a symplectic tableau); ValueError
     unless T is semistandard."""
-    return rows_of(_reduction(columns_of(T))[0])
+    return rows_of(_suc_chain(columns_of(T))[-1])
 
 
 def q_aii(T: Rows) -> dict[tuple[int, int], int]:
     """Map each box that suc-iteration removes to the step that removed it."""
-    return _reduction(columns_of(T))[1]
+    chain = _suc_chain(columns_of(T))
+    Q: dict[tuple[int, int], int] = {}
+    for step, (before, after) in enumerate(zip(chain, chain[1:]), start=1):
+        for x, col in enumerate(before):
+            for y in range(len(after[x]) if x < len(after) else 0, len(col)):
+                Q[x + 1, y + 1] = step
+    return Q
 
 
 def lr_aii_partition(lam: Partition, n: int):
@@ -103,9 +103,9 @@ def lr_aii_partition(lam: Partition, n: int):
     classes: dict[Partition, list] = {}
     seen = set()
     for cols in enumerate_columns(lam, 2 * n):
-        P_cols, Q, _ = _reduction(cols)
-        T, P = rows_of(cols), rows_of(P_cols)
-        key = (tuple(P_cols), frozenset(Q.items()))
+        T = rows_of(cols)
+        P, Q = p_aii(T), q_aii(T)
+        key = (freeze(P), frozenset(Q.items()))
         if key in seen:
             raise RuntimeError(f"(P, Q) collision at {T}")
         seen.add(key)
@@ -133,12 +133,12 @@ def staircase_flags(P: list[Column], a: Column, b: Column) -> tuple[bool, bool]:
 
 def is_k_highest(T: Rows, n: int) -> bool:
     """True iff P has row y constantly a_y."""
-    return staircase_flags(_reduction(columns_of(T))[0], *ab_sequences(n))[0]
+    return staircase_flags(_suc_chain(columns_of(T))[-1], *ab_sequences(n))[0]
 
 
 def is_k_lowest(T: Rows, n: int) -> bool:
     """True iff P has row y constantly b_y."""
-    return staircase_flags(_reduction(columns_of(T))[0], *ab_sequences(n))[1]
+    return staircase_flags(_suc_chain(columns_of(T))[-1], *ab_sequences(n))[1]
 
 
 def p_aii_range(T: Rows, a: int, b: int) -> Rows:

@@ -140,15 +140,11 @@ def tableau_f(T: Rows, i: int) -> Rows | None:
 
 
 def tableau_e_max(T: Rows, i: int) -> Rows:
-    while (nxt := tableau_e(T, i)) is not None:
-        T = nxt
-    return T
+    return _apply_word_op(T, i, e_max)
 
 
 def tableau_f_max(T: Rows, i: int) -> Rows:
-    while (nxt := tableau_f(T, i)) is not None:
-        T = nxt
-    return T
+    return _apply_word_op(T, i, f_max)
 
 
 def tableau_eps(T: Rows, i: int) -> int:

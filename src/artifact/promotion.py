@@ -85,7 +85,8 @@ def rect(cells: Cells) -> Rows:
 
     A hole is a corner when the boxes to its right and below are not holes
     (absent positions count as non-holes).  The canonical order picks the
-    topmost, then leftmost, corner hole; the result is order-independent.
+    topmost, then leftmost, corner hole.  The result is order-independent
+    when the holes form an order ideal (a skew shape's inner shape), not always.
     """
     work = dict(cells)
     while True:
@@ -109,13 +110,16 @@ def res(T: Rows, a: int, b: int, c: int, d: int) -> Rows:
     """Rectification of the restriction of T to [a, b] union [c, d].
 
     Boxes with entries below a or strictly between the bands become holes;
-    entries above d are dropped.
+    entries above d are dropped.  The holes need not be an order ideal: they
+    slide out by decreasing entry, rightmost first among equals, so no hole
+    is left to the right of or below the one sliding.
     """
     cells = restrict(T, a, b, c, d)
-    for box, e in cells_from_rows(T).items():
-        if e < a or b < e < c:
-            cells[box] = None
-    return rect(cells)
+    holes = {box: e for box, e in cells_from_rows(T).items() if e < a or b < e < c}
+    cells.update(dict.fromkeys(holes))
+    for box in sorted(holes, key=lambda box: (holes[box], box[0]), reverse=True):
+        del cells[_slide_forward(cells, box)]
+    return rows_from_cells(cells)
 
 
 def _check_window(a: int, b: int) -> None:

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .branching import _reduction, staircase_flags
+from .branching import _suc_chain, staircase_flags
 from .characters import decompose, restricted_gl_character, sp_dimension
 from .crystal import ab_sequences, column_dominance_violation, wt_ghat, wt_k
 from .promotion import phi, pr, pr_inv, psi
@@ -88,7 +88,7 @@ def verify_shape(lam: Partition, n: int) -> VerificationReport:
         total += 1
         if column_dominance_violation(cols, n) is None:
             dominant.append(rows_of(cols))
-        P = _reduction(cols)[0]
+        P = _suc_chain(cols)[-1]
         is_highest, is_lowest = staircase_flags(P, a, b)
         if is_highest:
             highest.append((rows_of(cols), rows_of(P)))

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from artifact import branching
 from artifact.branching import (
     a_staircase,
     b_staircase,
@@ -189,6 +190,22 @@ def test_p_aii_rejects_non_semistandard_input():
         q_aii([[1], [2, 2]])
     with pytest.raises(ValueError):
         suc([[0]])
+
+
+def test_suc_chain_stops_at_its_size_budget(monkeypatch, time_bound):
+    """A reduction that removes nothing and adds an entry never reaches a
+    fixed point: the chain checks for one |T| + 2 times, then raises."""
+    time_bound(10)
+    calls = []
+
+    def never_fixed(col):
+        calls.append(col)
+        return col + (col[-1] + 1,)
+
+    monkeypatch.setattr(branching, "_reduced", never_fixed)
+    with pytest.raises(RuntimeError, match="suc did not stabilize"):
+        p_aii([[1, 2], [3]])
+    assert len(calls) == 5
 
 
 def test_p_aii_lands_on_symplectic():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from artifact import cli, verify
+from artifact import branching, cli, verify
 from artifact.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -287,6 +287,18 @@ def test_internal_errors_have_their_own_exit_code(capsys, monkeypatch, error):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: invariant broke\nargv: verify --n 2 --max-size 2\n"
+
+
+def test_show_reports_a_suc_chain_without_fixed_point(capsys, monkeypatch, time_bound):
+    time_bound(10)
+    monkeypatch.setattr(branching, "_reduced", lambda col: col + (col[-1] + 1,))
+    assert main(["show", "--n", "2", "--tableau", "1,2;3"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: suc did not stabilize within the size budget\n"
+        "argv: show --n 2 --tableau '1,2;3'\n"
+    )
 
 
 def test_output_is_deterministic(capsys):

@@ -16,8 +16,10 @@ from artifact.crystal import (
     is_ghat_dominant,
     phi,
     tableau_e,
+    tableau_e_max,
     tableau_eps,
     tableau_f,
+    tableau_f_max,
     tableau_phi,
     tensor_e,
     tensor_f,
@@ -118,6 +120,27 @@ def test_tableau_string_data_is_seminormal():
                     cur = nxt
                     steps += 1
                 assert steps == tableau_phi(T, i)
+
+
+def _iterate_to_none(op, T, i):
+    """The former tableau_e_max / tableau_f_max: one tableau step at a time."""
+    while (nxt := op(T, i)) is not None:
+        T = nxt
+    return T
+
+
+def test_max_tableau_operators_match_iterated_steps():
+    """On every tableau of the criterion-7 universe (the 4x4 box over [1, 4])."""
+    total = 0
+    for lam in enumerate_partitions(16, 4):
+        if lam and lam[0] > 4:
+            continue
+        for T in enumerate_ssyt(lam, 4):
+            total += 1
+            for i in (1, 2, 3):
+                assert tableau_e_max(T, i) == _iterate_to_none(tableau_e, T, i), (T, i)
+                assert tableau_f_max(T, i) == _iterate_to_none(tableau_f, T, i), (T, i)
+    assert total == 2772
 
 
 def test_weight_step_law():

@@ -62,6 +62,10 @@ def test_res_golden():
     T = [[1, 2, 2, 3], [4, 5, 6], [6, 6]]
     assert res(T, 1, 2, 5, 6) == [[1, 2, 2], [5, 6, 6], [6]]
     assert res(T, 1, 6, 6, 6) == T
+    # Holes on both sides of a kept entry, and a kept 4 below and right of a kept 1.
+    assert res([[1, 2, 3, 4]], 2, 2, 4, 4) == [[2, 4]]
+    assert res([[1], [2], [3], [4]], 2, 2, 4, 4) == [[2], [4]]
+    assert res([[1, 2], [3, 4]], 1, 1, 4, 4) == [[1], [4]]
     with pytest.raises(ValueError):
         res(T, 3, 2, 5, 6)
 
@@ -87,11 +91,19 @@ def _outcome(f, *args):
 
 
 def test_res_matches_reference_on_every_band():
+    """The former body where the bands are at most one letter apart.  With a
+    gap of two or more its hole order fails (27 of these inputs), so there
+    res must return, and match the promotion route wherever that returns."""
     bands = list(combinations_with_replacement(range(1, 6), 4))
     for lam in enumerate_partitions(4, 5):
         for T in enumerate_ssyt(lam, 5):
             for band in bands:
-                assert _outcome(res, T, *band) == _outcome(_res_reference, T, *band), (T, band)
+                if band[2] - band[1] <= 1:
+                    assert _outcome(res, T, *band) == _outcome(_res_reference, T, *band), (T, band)
+                    continue
+                out = res(T, *band)
+                via = _outcome(res_via_promotion, T, *band)
+                assert isinstance(via, str) or out == via, (T, band)
 
 
 def test_rect_equals_insertion_of_reading_word():
