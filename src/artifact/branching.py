@@ -8,6 +8,8 @@ chain at which the box disappeared from the shape.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .crystal import (
     ab_sequences,
     tableau_e,
@@ -125,20 +127,28 @@ def b_staircase(mu: Partition, n: int) -> Rows:
     return [[b[y - 1]] * part(mu, y) for y in range(1, len(mu) + 1)]
 
 
-def staircase_flags(P: list[Column], a: Column, b: Column) -> tuple[bool, bool]:
+@cache
+def _staircase_columns(lengths: tuple[int, ...], n: int) -> tuple[list[Column], list[Column]]:
+    """The a- and b-staircase columns of these lengths (cut to n entries)."""
+    a, b = ab_sequences(n)
+    return [a[:k] for k in lengths], [b[:k] for k in lengths]
+
+
+def staircase_flags(P: list[Column], n: int) -> tuple[bool, bool]:
     """Whether the tableau with columns P has row y constantly a_y, resp. b_y:
-    every column of P is a prefix of a (resp. b).  No staircase is built."""
-    return all(a[: len(col)] == col for col in P), all(b[: len(col)] == col for col in P)
+    P equals the staircase columns looked up by its column lengths."""
+    A, B = _staircase_columns(tuple([len(col) for col in P]), n)
+    return P == A, P == B
 
 
 def is_k_highest(T: Rows, n: int) -> bool:
     """True iff P has row y constantly a_y."""
-    return staircase_flags(_suc_chain(columns_of(T))[-1], *ab_sequences(n))[0]
+    return staircase_flags(_suc_chain(columns_of(T))[-1], n)[0]
 
 
 def is_k_lowest(T: Rows, n: int) -> bool:
     """True iff P has row y constantly b_y."""
-    return staircase_flags(_suc_chain(columns_of(T))[-1], *ab_sequences(n))[1]
+    return staircase_flags(_suc_chain(columns_of(T))[-1], n)[1]
 
 
 def p_aii_range(T: Rows, a: int, b: int) -> Rows:

@@ -29,6 +29,15 @@ def _add(chi: Character, weight: tuple[int, ...], m: int) -> None:
         chi.pop(weight, None)
 
 
+@cache
+def _left_neighbours(j: int | None, k: int, n: int, floor: Column) -> list[tuple[Column, list]]:
+    """Each column of length k over [1, 2n] with the columns of length j (floor
+    alone when j is None) that it is row-wise >=; read-only."""
+    lefts = [floor] if j is None else list(combinations(range(1, 2 * n + 1), j))
+    cols = combinations(range(1, 2 * n + 1), k)
+    return [(col, [left for left in lefts if all(map(le, left, col))]) for col in cols]
+
+
 def _column_transfer(lam: Partition, n: int, weight, floor: Column = ()) -> Character:
     """Weight multiset, under weight, of the semistandard tableaux of shape lam
     over [1, 2n] whose first column is row-wise >= floor, without listing one.
@@ -38,18 +47,18 @@ def _column_transfer(lam: Partition, n: int, weight, floor: Column = ()) -> Char
     column row-wise >= its left neighbour adds weight([col], n).  This is exact
     because weight is linear in the content, so additive over the columns.
     """
-    state = {floor: {(0,) * n: 1}}
+    state, j = {floor: {(0,) * n: 1}}, None
     for k in conjugate(canonical(lam)):
         step = {}
-        for col in combinations(range(1, 2 * n + 1), k):
+        for col, lefts in _left_neighbours(j, k, n, floor):
             merged = Counter()
-            for left, partial in state.items():
-                if all(map(le, left, col)):
+            for left in lefts:
+                if partial := state.get(left):
                     merged.update(partial)
             if merged:
                 w = weight([col], n)
                 step[col] = {tuple(map(add, v, w)): m for v, m in merged.items()}
-        state = step
+        state, j = step, k
     total = Counter()
     for partial in state.values():
         total.update(partial)

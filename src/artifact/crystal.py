@@ -15,11 +15,6 @@ from .tableaux import Column, Rows, columns_of, content, row_word, validate_ssyt
 Word = list[int]
 
 
-def wt_gl(T: Rows, N: int) -> tuple[int, ...]:
-    """Entry counts (T[1], ..., T[N])."""
-    return content(T, N)
-
-
 def wt_ghat(T: Rows, n: int) -> tuple[int, ...]:
     """Coordinate i is T[i] - T[2n - i + 1]; T may be rows or columns."""
     c = content(T, 2 * n)

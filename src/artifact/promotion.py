@@ -250,7 +250,9 @@ def res_via_promotion(T: Rows, a: int, b: int, c: int, d: int) -> Rows:
 
     Applies pr_inv on the windows [c-k, d-k+1] for k = 1..c-b-1, restricts
     to the single band [a, b+1+d-c], and shifts the top part back up.
-    """
+    Defined for entries >= a and c > b only; ValueError otherwise."""
+    if c <= b:
+        raise ValueError(f"bands [{a}, {b}] and [{c}, {d}] need c > b")
     if any(e < a for row in T for e in row):
         raise ValueError("entries below the lower band")
     U = [list(row) for row in T]

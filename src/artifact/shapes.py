@@ -1,4 +1,4 @@
-"""Partitions, Young diagrams, and shape enumeration.
+"""Partitions and shape enumeration.
 
 Conventions: a partition is a tuple of weakly decreasing positive integers
 (canonical form has no trailing zeros).  Boxes are (x, y) pairs with x the
@@ -8,7 +8,6 @@ column and y the row, both 1-based, row 1 at the top.
 from __future__ import annotations
 
 Partition = tuple[int, ...]
-Box = tuple[int, int]
 
 
 def canonical(parts) -> Partition:
@@ -31,11 +30,6 @@ def part(lam: Partition, y: int) -> int:
 def conjugate(lam: Partition) -> Partition:
     """The column lengths of lam, left to right."""
     return tuple(sum(1 for p in lam if p >= x) for x in range(1, part(lam, 1) + 1))
-
-
-def young_diagram(lam: Partition) -> set[Box]:
-    """All boxes (x, y) with 1 <= y <= len(lam), 1 <= x <= lam[y-1]."""
-    return {(x, y) for y, row in enumerate(lam, start=1) for x in range(1, row + 1)}
 
 
 def enumerate_partitions(max_size: int, max_length: int) -> list[Partition]:

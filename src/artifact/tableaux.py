@@ -165,13 +165,14 @@ def enumerate_columns(lam: Partition, m: int, floor: Column = ()) -> Iterator[li
         return [col for col in combinations(range(1, m + 1), k) if all(map(le, left, col))]
 
     def chain(prefix: list[Column]) -> Iterator[list[Column]]:
-        if len(prefix) == len(lengths):
-            yield prefix
-            return
-        for col in after(prefix[-1] if prefix else floor, lengths[len(prefix)]):
-            yield from chain(prefix + [col])
+        cols = after(prefix[-1] if prefix else floor, lengths[len(prefix)])
+        if len(prefix) + 1 == len(lengths):  # the last column: no leaf generators
+            yield from [prefix + [col] for col in cols]
+        else:
+            for col in cols:
+                yield from chain(prefix + [col])
 
-    return chain([])
+    return chain([]) if lengths else iter([[]])
 
 
 def enumerate_ssyt(lam: Partition, m: int) -> Iterator[Rows]:

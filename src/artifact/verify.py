@@ -12,7 +12,7 @@ from itertools import accumulate
 
 from .branching import _suc_chain, staircase_flags
 from .characters import decompose, restricted_gl_character, sp_dimension
-from .crystal import ab_sequences, column_dominance_violation, wt_ghat, wt_k
+from .crystal import column_dominance_violation, wt_ghat, wt_k
 from .promotion import phi, pr, pr_inv, psi
 from .shapes import Partition, canonical, conjugate, enumerate_partitions, format_partition
 from .tableaux import (
@@ -83,13 +83,12 @@ def verify_shape(lam: Partition, n: int) -> VerificationReport:
     start = time.perf_counter()
     dominant, highest, lowest = [], [], []
     total = 0
-    a, b = ab_sequences(n)
     for cols in enumerate_columns(lam, 2 * n):
         total += 1
         if column_dominance_violation(cols, n) is None:
             dominant.append(rows_of(cols))
         P = _suc_chain(cols)[-1]
-        is_highest, is_lowest = staircase_flags(P, a, b)
+        is_highest, is_lowest = staircase_flags(P, n)
         if is_highest:
             highest.append((rows_of(cols), rows_of(P)))
         if is_lowest:

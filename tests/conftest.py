@@ -27,8 +27,11 @@ def time_bound():
 
 @pytest.fixture
 def cold_sp_character():
-    """An empty sp_character cache before and after the test, so that a fault
-    on the Sp side is neither hidden by a cached value nor left behind."""
+    """Empty sp_character and column-neighbour caches before and after the
+    test, so that a fault in the oracle is neither hidden by a cached value
+    nor left behind."""
     characters.sp_character.cache_clear()
+    characters._left_neighbours.cache_clear()
     yield
     characters.sp_character.cache_clear()
+    characters._left_neighbours.cache_clear()

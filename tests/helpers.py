@@ -1,6 +1,7 @@
-"""Tableau helpers that only the tests use."""
+"""Tableau and shape helpers that only the tests use."""
 
-from artifact.tableaux import Rows, columns_of
+from artifact.shapes import Partition
+from artifact.tableaux import Rows, columns_of, content
 
 
 def count_entry(T: Rows, m: int) -> int:
@@ -21,3 +22,13 @@ def first_column(T: Rows) -> list[int]:
 def rest_columns(T: Rows) -> Rows:
     """The tableau of columns 2, 3, ..., shifted one column left."""
     return [row[1:] for row in T if len(row) > 1]
+
+
+def wt_gl(T: Rows, N: int) -> tuple[int, ...]:
+    """Entry counts (T[1], ..., T[N])."""
+    return content(T, N)
+
+
+def young_diagram(lam: Partition) -> set[tuple[int, int]]:
+    """All boxes (x, y) with 1 <= y <= len(lam), 1 <= x <= lam[y-1]."""
+    return {(x, y) for y, row in enumerate(lam, start=1) for x in range(1, row + 1)}

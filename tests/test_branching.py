@@ -27,12 +27,13 @@ from artifact.branching import (
     suc,
 )
 from artifact.characters import branching_multiplicity
-from artifact.crystal import ab_sequences, is_ghat_dominant
-from artifact.shapes import enumerate_partitions, young_diagram
+from artifact.crystal import is_ghat_dominant
+from artifact.shapes import enumerate_partitions
 from artifact.tableaux import (
     column_insert,
     column_to_rows,
     columns_of,
+    enumerate_columns,
     enumerate_spt,
     enumerate_ssyt,
     freeze,
@@ -40,8 +41,8 @@ from artifact.tableaux import (
     shape,
     validate_ssyt,
 )
-from artifact.verify import random_ssyt
-from helpers import first_column, rest_columns
+from artifact.verify import random_ssyt, verify_sweep
+from helpers import first_column, rest_columns, young_diagram
 
 
 # Reference implementation: the former row-based column insertion, the
@@ -238,11 +239,26 @@ def test_staircases():
 
 def test_staircase_flags_match_staircases():
     for n in (2, 3):
-        a, b = ab_sequences(n)
         for lam in enumerate_partitions(6, n):
             for P in enumerate_spt(lam, n):
-                flags = staircase_flags(columns_of(P), a, b)
+                flags = staircase_flags(columns_of(P), n)
                 assert flags == (P == a_staircase(lam, n), P == b_staircase(lam, n)), P
+    # The empty P is both staircases; a column longer than n is neither,
+    # even where its first n entries are a staircase column.
+    assert staircase_flags([], 2) == (True, True)
+    assert staircase_flags([(2, 3, 4)], 2) == (False, False)
+    assert staircase_flags([(1, 4, 5)], 2) == (False, False)
+
+
+def test_the_staircase_table_holds_one_entry_per_column_lengths():
+    branching._staircase_columns.cache_clear()
+    verify_sweep(3, 6)
+    lengths = {
+        tuple(map(len, branching._suc_chain(cols)[-1]))
+        for lam in enumerate_partitions(6, 6)
+        for cols in enumerate_columns(lam, 6)
+    }
+    assert branching._staircase_columns.cache_info().currsize == len(lengths)
 
 
 def test_highest_lowest_flags():

@@ -1,8 +1,11 @@
 """Exit codes, output formats, and determinism of the command line."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artifact import branching, cli, verify
 from artifact.cli import (
@@ -307,3 +310,51 @@ def test_output_is_deterministic(capsys):
     main(["branch", "--n", "2", "--lambda", "2,1", "--json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+# Tiny sizes only (n <= 2, sizes <= 3), so that no fuzzed line is slow.
+_NS = ["2", "1", "0"]
+_OPTIONS = {
+    "verify": ("--max-size", ["3", "2", "1", "0"]),
+    "branch": ("--lambda", ["1", "2,1", "1,1,1", "3", "", "1,2", "a"]),
+    "show": ("--tableau", ["1,2;3", "4", "", "2,1", "1;1", "5", "x"]),
+}
+_JUNK = ["--bogus", "-", "--", "", "x", "1,x", ";", "1;;2", "--json", "-h", "verify",
+         "--n", "--max-size", "--lambda", "--tableau", "--budget", "--seed", "-1", "0", "2"]
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    option, values = _OPTIONS[command]
+    tokens = ["--n", draw(st.sampled_from(_NS)), option, draw(st.sampled_from(values))]
+    if command != "show" and draw(st.booleans()):
+        tokens += ["--budget", draw(st.sampled_from(["50", "1", "0", "-1"]))]
+    if draw(st.booleans()):
+        tokens.append("--json")
+    if draw(st.booleans()):
+        tokens += draw(st.lists(st.sampled_from(_JUNK), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            tokens = draw(st.permutations(tokens))
+    return [command, *tokens]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_fuzzed_command_lines_exit_cleanly_and_deterministically(time_bound):
+    time_bound(10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(argv=_command_lines())
+    def check(argv):
+        code, out, err = _run(argv)
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET, EXIT_INTERNAL), argv
+        assert "Traceback" not in err, argv
+        assert _run(argv) == (code, out, err), argv
+
+    check()

@@ -24,7 +24,6 @@ from artifact.crystal import (
     tensor_e,
     tensor_f,
     wt_ghat,
-    wt_gl,
     wt_k,
 )
 from artifact.characters import sp_weight
@@ -36,7 +35,7 @@ from artifact.tableaux import (
     rows_of,
     validate_ssyt,
 )
-from helpers import count_entry
+from helpers import count_entry, wt_gl
 
 
 def test_convention_pins():

@@ -1,24 +1,28 @@
 """Named faults that the checker must detect.
 
 Each fault replaces, by monkeypatch, the module global that the library
-actually calls: characters binds king_floor, wt_ghat and sp_weight by name
-and looks them up at call time, so patching them in tableaux or crystal
-would not reach the oracle.  A fault is detected when verify_sweep(2, 5)
-or verify_sweep(3, 4) gives a failing report or raises RuntimeError (exit
-4 on the command line); a pass or a hang is a miss.  A fault that no
+actually calls: characters binds king_floor, wt_ghat, sp_weight and le by
+name and looks them up at call time, so patching them in tableaux, crystal
+or operator would not reach the oracle, and verify_shape calls the
+staircase_flags that verify binds.  A fault is detected when
+verify_sweep(2, 5) or verify_sweep(3, 4) gives a failing report or raises
+RuntimeError (exit 4 on the command line); a pass or a hang is a miss.  A fault that no
 sweep can see stays in the table, marked equivalent, with the argument and
 the check that does see it.
 """
 
+from operator import lt
+
 import pytest
 
-from artifact import characters
+from artifact import characters, verify
 from artifact.shapes import enumerate_partitions
 from artifact.tableaux import content, enumerate_columns, enumerate_ssyt, is_symplectic, rows_of
 from artifact.verify import verify_sweep
 
 SWEEPS = ((2, 5), (3, 4))
 SP_WEIGHT = characters.sp_weight
+STAIRCASE_FLAGS = verify.staircase_flags
 
 
 def _wt_ghat_pairing_i_with_2n_minus_i(T, n):
@@ -30,28 +34,49 @@ def _sp_weight_negated(T, n):
     return tuple(-w for w in SP_WEIGHT(T, n))
 
 
-# name -> (global of characters, replacement)
+# name -> (module, global of that module, replacement)
 DETECTED = {
-    "King floor 1, 2, 3, ...": ("king_floor", lambda n: tuple(range(1, 2 * n + 1))),
-    "no King floor": ("king_floor", lambda n: ()),
+    "King floor 1, 2, 3, ...": (characters, "king_floor", lambda n: tuple(range(1, 2 * n + 1))),
+    "no King floor": (characters, "king_floor", lambda n: ()),
     "King relaxed to 2y - 2 (floor 0, 2, 4, ...)": (
+        characters,
         "king_floor",
         lambda n: tuple(range(0, 4 * n - 1, 2)),
     ),
-    "King floor 2, 4, 6, ...": ("king_floor", lambda n: tuple(range(2, 4 * n + 1, 2))),
-    "oracle wt_ghat pairs i with 2n - i": ("wt_ghat", _wt_ghat_pairing_i_with_2n_minus_i),
+    "King floor 2, 4, 6, ...": (
+        characters,
+        "king_floor",
+        lambda n: tuple(range(2, 4 * n + 1, 2)),
+    ),
+    "oracle wt_ghat pairs i with 2n - i": (
+        characters,
+        "wt_ghat",
+        _wt_ghat_pairing_i_with_2n_minus_i,
+    ),
+    # Row-wise strict neighbours: the oracle's transfer drops every tableau
+    # with a repeated entry in a row, and decompose raises RuntimeError.
+    "oracle compares neighbouring columns with lt for le": (characters, "le", lt),
+    "staircase_flags reading only the first column": (
+        verify,
+        "staircase_flags",
+        lambda P, n: STAIRCASE_FLAGS(P[:1], n),
+    ),
 }
 
 EQUIVALENT = {
     # Sp(2n) characters are invariant under the Weyl group of type C_n,
     # sign changes included, so negating every weight gives the same
     # multiset: each sp_character, and so each decomposition, is unchanged.
-    "sp_weight negated": ("sp_weight", _sp_weight_negated),
+    "sp_weight negated": (characters, "sp_weight", _sp_weight_negated),
     # The cut floor bounds rows 1..n only, and sp_character rejects a mu
     # with more than n rows before the transfer runs, so every
     # character it returns is unchanged.  The King reference in
     # test_tableaux sees it: at mu = (1, 1), n = 1 the column (1, 2) passes.
-    "King floor cut to n entries": ("king_floor", lambda n: tuple(range(1, 2 * n, 2))),
+    "King floor cut to n entries": (
+        characters,
+        "king_floor",
+        lambda n: tuple(range(1, 2 * n, 2)),
+    ),
 }
 
 
@@ -65,7 +90,7 @@ def _detected() -> bool:
 @pytest.mark.parametrize("name", sorted(DETECTED))
 def test_mutant_is_detected(name, monkeypatch, time_bound, cold_sp_character):
     time_bound(30)
-    monkeypatch.setattr(characters, *DETECTED[name])
+    monkeypatch.setattr(*DETECTED[name])
     assert _detected(), name
 
 
@@ -78,12 +103,12 @@ def test_equivalent_mutant_passes_every_sweep(name, monkeypatch, time_bound, col
         for mu in enumerate_partitions(size, n)
     }
     characters.sp_character.cache_clear()
-    monkeypatch.setattr(characters, *EQUIVALENT[name])
+    monkeypatch.setattr(*EQUIVALENT[name])
     assert not _detected(), name
     assert {key: characters.sp_character(*key) for key in expected} == expected, name
 
 
 def test_the_king_reference_sees_a_floor_cut_to_n_entries():
-    cut = EQUIVALENT["King floor cut to n entries"][1]
+    cut = EQUIVALENT["King floor cut to n entries"][2]
     king = [T for T in enumerate_ssyt((1, 1), 2) if is_symplectic(T)]
     assert [rows_of(cols) for cols in enumerate_columns((1, 1), 2, cut(1))] != king

@@ -10,8 +10,8 @@ from artifact.shapes import (
     format_partition,
     parse_partition,
     part,
-    young_diagram,
 )
+from helpers import young_diagram
 
 
 def test_canonical_strips_trailing_zeros():

@@ -3,7 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from artifact.shapes import canonical, enumerate_partitions
+from functools import cache
+from itertools import combinations
+from operator import le
+
+from artifact.shapes import canonical, conjugate, enumerate_partitions
 from artifact.tableaux import (
     column_insert,
     column_star,
@@ -17,6 +21,7 @@ from artifact.tableaux import (
     freeze,
     insertion_tableau,
     is_symplectic,
+    king_floor,
     knuth_equivalent,
     row_word,
     rows_of,
@@ -208,11 +213,32 @@ def _enumerate_ssyt_reference(lam, m):
     yield from fill(1, 1)
 
 
+def _enumerate_columns_reference(lam, m, floor=()):
+    """The former body of enumerate_columns: the recursion descends to a
+    full prefix and yields it, one leaf generator per tableau."""
+    lengths = conjugate(canonical(lam))
+
+    @cache
+    def after(left, k):
+        return [col for col in combinations(range(1, m + 1), k) if all(map(le, left, col))]
+
+    def chain(prefix):
+        if len(prefix) == len(lengths):
+            yield prefix
+            return
+        for col in after(prefix[-1] if prefix else floor, lengths[len(prefix)]):
+            yield from chain(prefix + [col])
+
+    return chain([])
+
+
 def test_column_generator_matches_the_reference():
     """enumerate_ssyt, the column generator read through rows_of, and the
     King tableaux among them equal the former recursive enumerator in order,
     and count_ssyt counts them, for every shape of at most 7 boxes over
-    [1, m] with m <= 6 (0 tableaux when the shape has more than m rows)."""
+    [1, m] with m <= 6 (0 tableaux when the shape has more than m rows).
+    With no floor and with a King floor, enumerate_columns gives the same
+    lists in the same order as its former body."""
     checked = 0
     for lam in enumerate_partitions(7, 7):
         for m in range(1, 7):
@@ -223,6 +249,10 @@ def test_column_generator_matches_the_reference():
             if m % 2 == 0:
                 king = [T for T in reference if is_symplectic(T)]
                 assert list(enumerate_spt(lam, m // 2)) == king, (lam, m)
+            for floor in ((), king_floor((m + 1) // 2)):
+                columns = list(_enumerate_columns_reference(lam, m, floor))
+                assert list(enumerate_columns(lam, m, floor)) == columns, (lam, m, floor)
             checked += len(reference)
     assert checked == 33825
     assert count_ssyt((1, 1), 1) == 0 and count_ssyt((5,), 1) == 1
+    assert list(enumerate_columns((), 4)) == [[]] == list(_enumerate_columns_reference((), 4))
