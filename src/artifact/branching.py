@@ -32,11 +32,12 @@ from .tableaux import (
 )
 
 
+@cache
 def _reduced(col: Column) -> Column:
     """col without its removable entries, in one pass over prefixes: with v
     the k-th entry and u the one above, prefix k keeps what prefix k - 2 kept
     if v is even, u = v - 1 and v < 2k - #rem(prefix k - 2) - 1, else what
-    prefix k - 1 kept, plus v."""
+    prefix k - 1 kept, plus v.  Cached: one entry per column."""
     before, kept = (), col[:1]
     for k in range(2, len(col) + 1):
         v = col[k - 1]
@@ -134,9 +135,18 @@ def _staircase_columns(lengths: tuple[int, ...], n: int) -> tuple[list[Column], 
     return [a[:k] for k in lengths], [b[:k] for k in lengths]
 
 
+@cache
+def _staircase_first_columns(n: int) -> frozenset[Column]:
+    """The first columns a[:k] and b[:k] (1 <= k <= n) of the staircases."""
+    return frozenset(s[:k] for s in ab_sequences(n) for k in range(1, n + 1))
+
+
 def staircase_flags(P: list[Column], n: int) -> tuple[bool, bool]:
     """Whether the tableau with columns P has row y constantly a_y, resp. b_y:
-    P equals the staircase columns looked up by its column lengths."""
+    P starts with a staircase first column and equals the staircase columns
+    looked up by its column lengths."""
+    if P and P[0] not in _staircase_first_columns(n):
+        return False, False
     A, B = _staircase_columns(tuple([len(col) for col in P]), n)
     return P == A, P == B
 

@@ -7,6 +7,7 @@ act on the surviving letters.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import islice
 
 from .shapes import Partition
@@ -162,23 +163,37 @@ def ghat_dominance_violation(T: Rows, n: int) -> int | None:
 
 def column_dominance_violation(cols: list[Column], n: int) -> int | None:
     """ghat_dominance_violation on the columns of a semistandard tableau over
-    [1, 2n].  The prefix before each letter is dominant, so only the
-    coordinate the letter moves is compared, with its neighbour; the zero
-    sentinel m[n] makes the last coordinate's neighbour the bound 0."""
-    m = [0] * (n + 1)
-    word = (letter for col in reversed(cols) for letter in col)
-    for p, letter in enumerate(word, start=1):
+    [1, 2n]: the partial weight is carried column by column through the
+    cached _dominance_step."""
+    m, p = (0,) * (n + 1), 0
+    for col in reversed(cols):
+        m, bad = _dominance_step(col, m, n)
+        if m is None:
+            return p + bad
+        p += len(col)
+    return None
+
+
+@cache
+def _dominance_step(col: Column, m: tuple[int, ...], n: int) -> tuple:
+    """(the partial weight m after the letters of col, None), or (None, the
+    1-based offset in col of the first letter whose prefix is not dominant).
+    The prefix before each letter is dominant, so only the coordinate the
+    letter moves is compared, with its neighbour; the zero sentinel m[n]
+    makes the last coordinate's neighbour the bound 0."""
+    m = list(m)
+    for offset, letter in enumerate(col, start=1):
         if letter <= n:
             k = letter - 1
             m[k] += 1
             if k and m[k - 1] < m[k]:
-                return p
+                return None, offset
         else:
             k = 2 * n - letter
             m[k] -= 1
             if m[k] < m[k + 1]:
-                return p
-    return None
+                return None, offset
+    return tuple(m), None
 
 
 def is_ghat_dominant(T: Rows, n: int) -> bool:

@@ -4,7 +4,7 @@ import signal
 
 import pytest
 
-from artifact import characters
+from helpers import SWEEP_CACHES
 
 
 @pytest.fixture
@@ -26,12 +26,12 @@ def time_bound():
 
 
 @pytest.fixture
-def cold_sp_character():
-    """Empty sp_character and column-neighbour caches before and after the
-    test, so that a fault in the oracle is neither hidden by a cached value
-    nor left behind."""
-    characters.sp_character.cache_clear()
-    characters._left_neighbours.cache_clear()
+def cold_caches():
+    """Empty every cache in SWEEP_CACHES before and after the test, so that a
+    fault injected by the test is neither hidden by a value that an earlier
+    sweep cached nor left behind for the next test."""
+    for cached in SWEEP_CACHES:
+        cached.cache_clear()
     yield
-    characters.sp_character.cache_clear()
-    characters._left_neighbours.cache_clear()
+    for cached in SWEEP_CACHES:
+        cached.cache_clear()

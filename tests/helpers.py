@@ -1,7 +1,20 @@
 """Tableau and shape helpers that only the tests use."""
 
+from artifact import branching, characters, crystal
 from artifact.shapes import Partition
 from artifact.tableaux import Rows, columns_of, content
+
+# Every module-level functools cache that verify_sweep reads, bound at
+# import so that the originals can be cleared while a test has
+# monkeypatched their names.
+SWEEP_CACHES = (
+    characters.sp_character,
+    characters._left_neighbours,
+    branching._reduced,
+    branching._staircase_columns,
+    branching._staircase_first_columns,
+    crystal._dominance_step,
+)
 
 
 def count_entry(T: Rows, m: int) -> int:

@@ -1,6 +1,7 @@
 """Column reduction, the P/Q correspondence, and the rank-2 closed forms."""
 
 import hashlib
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +28,7 @@ from artifact.branching import (
     suc,
 )
 from artifact.characters import branching_multiplicity
-from artifact.crystal import is_ghat_dominant
+from artifact.crystal import ab_sequences, is_ghat_dominant
 from artifact.shapes import enumerate_partitions
 from artifact.tableaux import (
     column_insert,
@@ -248,6 +249,41 @@ def test_staircase_flags_match_staircases():
     assert staircase_flags([], 2) == (True, True)
     assert staircase_flags([(2, 3, 4)], 2) == (False, False)
     assert staircase_flags([(1, 4, 5)], 2) == (False, False)
+
+
+def _staircase_flags_reference(P, n):
+    """The former staircase_flags: P against the a- and b-staircase columns
+    of its column lengths, with no first-column reject."""
+    a, b = ab_sequences(n)
+    return P == [a[:len(col)] for col in P], P == [b[:len(col)] for col in P]
+
+
+def test_staircase_flags_match_the_length_key_reference():
+    """On every P of verify_sweep(2, 6) and (3, 5), the empty P and columns
+    longer than n."""
+    for n, size in ((2, 6), (3, 5)):
+        for lam in enumerate_partitions(size, 2 * n):
+            for cols in enumerate_columns(lam, 2 * n):
+                P = branching._suc_chain(cols)[-1]
+                assert staircase_flags(P, n) == _staircase_flags_reference(P, n), P
+    for P in ([], [(2, 3, 4)], [(1, 4, 5)], [(2, 3, 4), (2,)], [(1, 4, 5, 6)]):
+        assert staircase_flags(P, 2) == _staircase_flags_reference(P, 2), P
+
+
+def test_the_cached_reduction_matches_its_body():
+    """Every column over [1, 2n], n <= 4, first with an empty table and then
+    from it."""
+    branching._reduced.cache_clear()
+    columns = [col for k in range(9) for col in combinations(range(1, 9), k)]
+    for _ in ("cold", "warm"):
+        for col in columns:
+            assert branching._reduced(col) == branching._reduced.__wrapped__(col), col
+
+
+def test_the_reduction_table_holds_at_most_one_entry_per_column():
+    branching._reduced.cache_clear()
+    verify_sweep(3, 6)
+    assert 0 < branching._reduced.cache_info().currsize <= 2 ** 6
 
 
 def test_the_staircase_table_holds_one_entry_per_column_lengths():

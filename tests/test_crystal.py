@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from artifact import crystal
 from artifact.crystal import (
     ab_sequences,
     column_dominance_violation,
@@ -201,10 +202,13 @@ def _dominance_violation_reference(cols, n):
     return None
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_dominance_scan_matches_the_full_rescan(n):
-    """One comparison per letter finds the same first violation as the full
-    rescan on every tableau with at most 6 boxes over [1, 2n]."""
+    """Column steps find the same first violation as the full rescan on every
+    tableau with at most 6 boxes over [1, 2n], first from an empty step table
+    and again from the table that pass filled."""
+    crystal._dominance_step.cache_clear()
+    cases = []
     for lam in enumerate_partitions(6, 2 * n):
         for T in enumerate_ssyt(lam, 2 * n):
             cols = columns_of(T)
@@ -212,6 +216,9 @@ def test_dominance_scan_matches_the_full_rescan(n):
             expected = _dominance_violation_reference(cols, n)
             assert column_dominance_violation(cols, n) == expected, T
             assert ghat_dominance_violation(T, n) == expected, T
+            cases.append((cols, expected))
+    for cols, expected in cases:
+        assert column_dominance_violation(cols, n) == expected, cols
 
 
 def test_dominant_tableaux_have_dominant_weight():

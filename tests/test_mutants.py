@@ -3,26 +3,33 @@
 Each fault replaces, by monkeypatch, the module global that the library
 actually calls: characters binds king_floor, wt_ghat, sp_weight and le by
 name and looks them up at call time, so patching them in tableaux, crystal
-or operator would not reach the oracle, and verify_shape calls the
-staircase_flags that verify binds.  A fault is detected when
-verify_sweep(2, 5) or verify_sweep(3, 4) gives a failing report or raises
-RuntimeError (exit 4 on the command line); a pass or a hang is a miss.  A fault that no
-sweep can see stays in the table, marked equivalent, with the argument and
-the check that does see it.
+or operator would not reach the oracle; verify_shape calls the
+staircase_flags that verify binds; branching looks up ab_sequences and
+_reduced, and crystal _dominance_step, by name.  The cold_caches fixture
+empties every table the sweep reads, so that a value cached by an earlier
+sweep cannot hide a fault.  A fault is detected when verify_sweep(2, 5) or
+verify_sweep(3, 4) gives a failing report or raises RuntimeError (exit 4
+on the command line); a pass or a hang is a miss.  A fault that no sweep
+can see stays in the table, marked equivalent, with the argument and the
+check that does see it.
 """
 
+import math
 from operator import lt
 
 import pytest
 
-from artifact import characters, verify
+from artifact import branching, characters, cli, crystal, promotion, shapes, tableaux, verify
 from artifact.shapes import enumerate_partitions
 from artifact.tableaux import content, enumerate_columns, enumerate_ssyt, is_symplectic, rows_of
 from artifact.verify import verify_sweep
+from helpers import SWEEP_CACHES
 
 SWEEPS = ((2, 5), (3, 4))
 SP_WEIGHT = characters.sp_weight
 STAIRCASE_FLAGS = verify.staircase_flags
+AB_SEQUENCES = branching.ab_sequences
+DOMINANCE_STEP = crystal._dominance_step
 
 
 def _wt_ghat_pairing_i_with_2n_minus_i(T, n):
@@ -32,6 +39,26 @@ def _wt_ghat_pairing_i_with_2n_minus_i(T, n):
 
 def _sp_weight_negated(T, n):
     return tuple(-w for w in SP_WEIGHT(T, n))
+
+
+def _reduced_mutant(parity: int, slack: int):
+    """The body of branching._reduced, pairing a v of this parity, with the
+    bound on v lowered by slack."""
+
+    def reduced(col):
+        before, kept = (), col[:1]
+        for k in range(2, len(col) + 1):
+            v = col[k - 1]
+            pair = v % 2 == parity and col[k - 2] == v - 1 and v < k + 1 + len(before) - slack
+            before, kept = kept, before if pair else kept + (v,)
+        return kept
+
+    return reduced
+
+
+def _dominance_step_without_its_zero_sentinel(col, m, n):
+    # A sentinel of -inf never bounds the last coordinate, so it may turn negative.
+    return DOMINANCE_STEP(col, m[:n] + (-math.inf,), n)
 
 
 # name -> (module, global of that module, replacement)
@@ -61,6 +88,18 @@ DETECTED = {
         "staircase_flags",
         lambda P, n: STAIRCASE_FLAGS(P[:1], n),
     ),
+    "ab_sequences with a and b swapped": (
+        branching,
+        "ab_sequences",
+        lambda n: AB_SEQUENCES(n)[::-1],
+    ),
+    "_reduced bound lowered by 1": (branching, "_reduced", _reduced_mutant(0, 1)),
+    "_reduced pairing an odd v": (branching, "_reduced", _reduced_mutant(1, 0)),
+    "the dominance step without its zero sentinel": (
+        crystal,
+        "_dominance_step",
+        _dominance_step_without_its_zero_sentinel,
+    ),
 }
 
 EQUIVALENT = {
@@ -88,14 +127,14 @@ def _detected() -> bool:
 
 
 @pytest.mark.parametrize("name", sorted(DETECTED))
-def test_mutant_is_detected(name, monkeypatch, time_bound, cold_sp_character):
+def test_mutant_is_detected(name, monkeypatch, time_bound, cold_caches):
     time_bound(30)
     monkeypatch.setattr(*DETECTED[name])
     assert _detected(), name
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENT))
-def test_equivalent_mutant_passes_every_sweep(name, monkeypatch, time_bound, cold_sp_character):
+def test_equivalent_mutant_passes_every_sweep(name, monkeypatch, time_bound, cold_caches):
     time_bound(30)
     expected = {
         (mu, n): characters.sp_character(mu, n)
@@ -106,6 +145,14 @@ def test_equivalent_mutant_passes_every_sweep(name, monkeypatch, time_bound, col
     monkeypatch.setattr(*EQUIVALENT[name])
     assert not _detected(), name
     assert {key: characters.sp_character(*key) for key in expected} == expected, name
+
+
+def test_the_cold_caches_fixture_clears_every_module_cache():
+    """A table that cold_caches does not empty could hide a mutant behind a
+    value that an earlier sweep cached."""
+    modules = (branching, characters, cli, crystal, promotion, shapes, tableaux, verify)
+    cached = {id(f) for m in modules for f in vars(m).values() if hasattr(f, "cache_clear")}
+    assert cached == {id(f) for f in SWEEP_CACHES}
 
 
 def test_the_king_reference_sees_a_floor_cut_to_n_entries():

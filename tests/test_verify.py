@@ -101,7 +101,7 @@ def _without_shape_22(function, empty):
 
 
 def test_shared_fault_on_every_side_stops_with_an_internal_error(
-    monkeypatch, capsys, time_bound, cold_sp_character
+    monkeypatch, capsys, time_bound, cold_caches
 ):
     """Shape (2, 2) missing on the model side and from the column transfer
     of both characters: subtracting the empty sp_character((2, 2)) cannot
