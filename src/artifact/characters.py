@@ -126,8 +126,3 @@ def decompose(chi: Character, n: int) -> dict[Partition, int]:
         if top in work:
             raise RuntimeError(f"subtracting {m} x sp_character({mu}) left the weight {top}")
     return result
-
-
-def branching_multiplicity(lam: Partition, mu: Partition, n: int) -> int:
-    """Multiplicity of the symplectic irreducible mu in the restriction of lam."""
-    return decompose(restricted_gl_character(lam, n), n).get(canonical(mu), 0)

@@ -82,17 +82,15 @@ def crystal_f(word: Word, i: int) -> Word | None:
 
 
 def e_max(word: Word, i: int) -> Word:
-    """Apply crystal_e until it returns None."""
-    while (nxt := crystal_e(word, i)) is not None:
-        word = nxt
-    return word
+    """Raise every surviving i+1 to i: crystal_e until it returns None."""
+    raised = set(_signature(word, i)[1])
+    return [i if p in raised else letter for p, letter in enumerate(word)]
 
 
 def f_max(word: Word, i: int) -> Word:
-    """Apply crystal_f until it returns None."""
-    while (nxt := crystal_f(word, i)) is not None:
-        word = nxt
-    return word
+    """Lower every surviving i to i+1: crystal_f until it returns None."""
+    lowered = set(_signature(word, i)[0])
+    return [i + 1 if p in lowered else letter for p, letter in enumerate(word)]
 
 
 def tensor_e(b1: Word, b2: Word, i: int) -> tuple[Word, Word] | None:

@@ -80,30 +80,25 @@ def restrict(T: Rows, a: int, b: int, c: int, d: int) -> Cells:
     }
 
 
-def rect(cells: Cells) -> Rows:
-    """Rectify: repeatedly slide a corner hole out and delete it.
+def _slide_out(cells: Cells, holes) -> Rows:
+    """Slide out each hole in the given order and delete the box where it
+    stops, mutating cells; return the rows that remain."""
+    for box in holes:
+        del cells[_slide_forward(cells, box)]
+    return rows_from_cells(cells)
 
-    A hole is a corner when the boxes to its right and below are not holes
-    (absent positions count as non-holes).  The canonical order picks the
-    topmost, then leftmost, corner hole.  The result is order-independent
-    when the holes form an order ideal (a skew shape's inner shape), not always.
+
+def rect(cells: Cells) -> Rows:
+    """Rectify: slide the holes out bottom row first, right to left.
+
+    Defined when the entries fill a skew shape lam/mu and the holes are the
+    boxes of mu, plus any boxes outside lam, which are deleted where they
+    stand; for example, the boxes of a straight tableau whose entries lie
+    outside a window [a, b].  In this order each hole of mu is a corner when
+    its turn comes, and the result is the rectification of the skew tableau.
     """
-    work = dict(cells)
-    while True:
-        holes = [box for box, e in work.items() if e is None]
-        if not holes:
-            break
-        corners = [
-            (x, y)
-            for x, y in holes
-            if work.get((x + 1, y), 0) is not None and work.get((x, y + 1), 0) is not None
-        ]
-        if not corners:
-            raise ValueError("holes remain but none is a corner")
-        start = min(corners, key=lambda box: (box[1], box[0]))
-        final = _slide_forward(work, start)
-        del work[final]
-    return rows_from_cells(work)
+    holes = [box for box, e in cells.items() if e is None]
+    return _slide_out(dict(cells), sorted(holes, key=lambda box: (box[1], box[0]), reverse=True))
 
 
 def res(T: Rows, a: int, b: int, c: int, d: int) -> Rows:
@@ -117,9 +112,7 @@ def res(T: Rows, a: int, b: int, c: int, d: int) -> Rows:
     cells = restrict(T, a, b, c, d)
     holes = {box: e for box, e in cells_from_rows(T).items() if e < a or b < e < c}
     cells.update(dict.fromkeys(holes))
-    for box in sorted(holes, key=lambda box: (holes[box], box[0]), reverse=True):
-        del cells[_slide_forward(cells, box)]
-    return rows_from_cells(cells)
+    return _slide_out(cells, sorted(holes, key=lambda box: (holes[box], box[0]), reverse=True))
 
 
 def _check_window(a: int, b: int) -> None:

@@ -8,7 +8,7 @@ left to right; the row enumerators are views of enumerate_columns.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import combinations, zip_longest
 from math import prod
@@ -61,30 +61,30 @@ def row_word(T: Rows) -> list[int]:
     return [e for row in reversed(T) for e in row]
 
 
-def schensted_insert(m: int, T: Rows) -> Rows:
-    """Row-insert m into T (classical bumping)."""
-    out = [list(row) for row in T]
-    r = 0
-    while True:
-        if r == len(out):
-            out.append([m])
-            return out
-        row = out[r]
-        for j, e in enumerate(row):
-            if e > m:
-                row[j], m = m, e
-                break
-        else:
+def insert_into_rows(m: int, rows: Rows) -> None:
+    """Row-insert m into semistandard rows in place, bumping the leftmost
+    entry > m of each row."""
+    for row in rows:
+        x = bisect_right(row, m)
+        if x == len(row):
             row.append(m)
-            return out
-        r += 1
+            return
+        row[x], m = m, row[x]
+    rows.append([m])
+
+
+def schensted_insert(m: int, T: Rows) -> Rows:
+    """Row-insert m into a copy of the semistandard T (classical bumping)."""
+    out = [list(row) for row in T]
+    insert_into_rows(m, out)
+    return out
 
 
 def insertion_tableau(word) -> Rows:
-    """Left fold of schensted_insert over the word."""
+    """Row-insert the letters of the word, first to last, into one tableau."""
     T: Rows = []
     for m in word:
-        T = schensted_insert(m, T)
+        insert_into_rows(m, T)
     return T
 
 
@@ -141,16 +141,6 @@ def column_star(C: Rows, S: Rows) -> Rows:
     for m in col:
         insert_into_columns(m, cols)
     return rows_of(cols)
-
-
-def column_to_rows(entries) -> Rows:
-    """Single-column tableau with the given entries, top to bottom."""
-    return [[e] for e in entries]
-
-
-def is_symplectic(T: Rows) -> bool:
-    """King's condition: the first entry of row y is at least 2y - 1."""
-    return all(row[0] >= 2 * i + 1 for i, row in enumerate(T))
 
 
 def enumerate_columns(lam: Partition, m: int, floor: Column = ()) -> Iterator[list[Column]]:

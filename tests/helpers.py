@@ -1,7 +1,8 @@
 """Tableau and shape helpers that only the tests use."""
 
 from artifact import branching, characters, crystal
-from artifact.shapes import Partition
+from artifact.characters import decompose, restricted_gl_character
+from artifact.shapes import Partition, canonical
 from artifact.tableaux import Rows, columns_of, content
 
 # Every module-level functools cache that verify_sweep reads, bound at
@@ -25,6 +26,21 @@ def count_entry(T: Rows, m: int) -> int:
 def inverse_column_word(T: Rows) -> list[int]:
     """Read the rightmost column first, each column top to bottom."""
     return [e for col in reversed(columns_of(T)) for e in col]
+
+
+def column_to_rows(entries) -> Rows:
+    """Single-column tableau with the given entries, top to bottom."""
+    return [[e] for e in entries]
+
+
+def is_symplectic(T: Rows) -> bool:
+    """King's condition: the first entry of row y is at least 2y - 1."""
+    return all(row[0] >= 2 * i + 1 for i, row in enumerate(T))
+
+
+def branching_multiplicity(lam: Partition, mu: Partition, n: int) -> int:
+    """Multiplicity of the symplectic irreducible mu in the restriction of lam."""
+    return decompose(restricted_gl_character(lam, n), n).get(canonical(mu), 0)
 
 
 def first_column(T: Rows) -> list[int]:

@@ -47,7 +47,6 @@ from artifact.promotion import (
 from artifact.shapes import enumerate_partitions
 from artifact.tableaux import (
     column_star,
-    column_to_rows,
     enumerate_ssyt,
     insertion_tableau,
     knuth_equivalent,
@@ -65,6 +64,7 @@ from artifact.verify import (
     verify_shape,
     verify_sweep,
 )
+from helpers import column_to_rows
 
 
 def _report(num, ok, detail):

@@ -27,23 +27,27 @@ from artifact.branching import (
     staircase_flags,
     suc,
 )
-from artifact.characters import branching_multiplicity
 from artifact.crystal import ab_sequences, is_ghat_dominant
 from artifact.shapes import enumerate_partitions
 from artifact.tableaux import (
     column_insert,
-    column_to_rows,
     columns_of,
     enumerate_columns,
     enumerate_spt,
     enumerate_ssyt,
     freeze,
-    is_symplectic,
     shape,
     validate_ssyt,
 )
 from artifact.verify import random_ssyt, verify_sweep
-from helpers import first_column, rest_columns, young_diagram
+from helpers import (
+    branching_multiplicity,
+    column_to_rows,
+    first_column,
+    is_symplectic,
+    rest_columns,
+    young_diagram,
+)
 
 
 # Reference implementation: the former row-based column insertion, the

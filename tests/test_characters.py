@@ -6,7 +6,6 @@ from itertools import permutations, product
 import pytest
 
 from artifact.characters import (
-    branching_multiplicity,
     decompose,
     restricted_gl_character,
     sp_character,
@@ -16,6 +15,7 @@ from artifact.characters import (
 from artifact.crystal import wt_ghat
 from artifact.shapes import enumerate_partitions
 from artifact.tableaux import enumerate_columns, enumerate_ssyt, symplectic_columns
+from helpers import branching_multiplicity
 
 
 # References: the former bodies of the two characters, one Counter of

@@ -72,6 +72,13 @@ def test_e_f_are_partial_inverses():
                 assert crystal_f(up, i) == word
 
 
+def test_max_operators_match_their_former_bodies():
+    for word in _all_words((1, 2, 3, 4), 6):
+        for i in (1, 2, 3):
+            assert e_max(word, i) == _iterate_to_none(crystal_e, word, i), (word, i)
+            assert f_max(word, i) == _iterate_to_none(crystal_f, word, i), (word, i)
+
+
 def test_max_operators_exhaust():
     for word in _all_words((1, 2), 4):
         assert phi(f_max(word, 1), 1) == 0
@@ -123,7 +130,8 @@ def test_tableau_string_data_is_seminormal():
 
 
 def _iterate_to_none(op, T, i):
-    """The former tableau_e_max / tableau_f_max: one tableau step at a time."""
+    """The former e_max / f_max and tableau_e_max / tableau_f_max: one step
+    at a time."""
     while (nxt := op(T, i)) is not None:
         T = nxt
     return T

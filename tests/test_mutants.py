@@ -21,9 +21,9 @@ import pytest
 
 from artifact import branching, characters, cli, crystal, promotion, shapes, tableaux, verify
 from artifact.shapes import enumerate_partitions
-from artifact.tableaux import content, enumerate_columns, enumerate_ssyt, is_symplectic, rows_of
+from artifact.tableaux import content, enumerate_columns, enumerate_ssyt, rows_of
 from artifact.verify import verify_sweep
-from helpers import SWEEP_CACHES
+from helpers import SWEEP_CACHES, is_symplectic
 
 SWEEPS = ((2, 5), (3, 4))
 SP_WEIGHT = characters.sp_weight

@@ -112,17 +112,9 @@ def test_res_matches_reference_on_every_band():
                 assert isinstance(via, str) or out == via, (T, band)
 
 
-def test_rect_equals_insertion_of_reading_word():
-    rng = random.Random(5)
-    for _ in range(150):
-        T = random_ssyt(random_shape(8, 6, rng), 6, rng)
-        a = rng.randint(1, 6)
-        cells = {box: (None if e < a else e) for box, e in cells_from_rows(T).items()}
-        assert rect(cells) == insertion_tableau(skew_row_word(cells))
-
-
-def _rect_random_order(cells, rng):
-    """rect with the corner hole picked at random instead of canonically."""
+def _rect_reference(cells, rng=None):
+    """The former body of rect: slide out the topmost, then leftmost, corner
+    hole (with rng, a random corner hole), re-found after every slide."""
     work = dict(cells)
     while True:
         holes = [box for box, e in work.items() if e is None]
@@ -133,21 +125,37 @@ def _rect_random_order(cells, rng):
             for x, y in holes
             if work.get((x + 1, y), 0) is not None and work.get((x, y + 1), 0) is not None
         ]
-        start = corners[rng.randrange(len(corners))]
-        x, y = start
-        while True:
-            rv = work.get((x + 1, y))
-            bv = work.get((x, y + 1))
-            if rv is None and bv is None:
-                break
-            if rv is not None and bv is not None:
-                nxt = (x + 1, y) if rv < bv else (x, y + 1)
-            else:
-                nxt = (x + 1, y) if rv is not None else (x, y + 1)
-            work[(x, y)], work[nxt] = work[nxt], work[(x, y)]
-            x, y = nxt
-        del work[(x, y)]
+        if not corners:
+            raise ValueError("holes remain but none is a corner")
+        if rng is None:
+            start = min(corners, key=lambda box: (box[1], box[0]))
+        else:
+            start = corners[rng.randrange(len(corners))]
+        del work[_slide_forward_reference(work, *start)]
     return rows_from_cells(work)
+
+
+def test_rect_matches_its_former_body_on_every_window():
+    """Every tableau over [1, 5] with at most 5 boxes, its entries outside a
+    window [a, b] made holes: an order ideal below a and an outer rim above b."""
+    windows = [(a, b) for a in range(1, 6) for b in range(a, 6)]
+    checked = 0
+    for lam in enumerate_partitions(5, 5):
+        for T in enumerate_ssyt(lam, 5):
+            for a, b in windows:
+                cells = {box: (e if a <= e <= b else None) for box, e in cells_from_rows(T).items()}
+                assert _outcome(rect, cells) == _outcome(_rect_reference, cells), (T, a, b)
+                checked += 1
+    assert checked == 17130
+
+
+def test_rect_equals_insertion_of_reading_word():
+    rng = random.Random(5)
+    for _ in range(150):
+        T = random_ssyt(random_shape(8, 6, rng), 6, rng)
+        a = rng.randint(1, 6)
+        cells = {box: (None if e < a else e) for box, e in cells_from_rows(T).items()}
+        assert rect(cells) == insertion_tableau(skew_row_word(cells))
 
 
 def test_rect_is_order_independent():
@@ -159,7 +167,7 @@ def test_rect_is_order_independent():
         cells = {box: (e if a <= e <= b else None) for box, e in cells_from_rows(T).items()}
         canonical_result = rect(cells)
         for _ in range(3):
-            assert _rect_random_order(cells, rng) == canonical_result
+            assert _rect_reference(cells, rng) == canonical_result
 
 
 def _slide_forward_reference(cells, x, y):
@@ -167,7 +175,7 @@ def _slide_forward_reference(cells, x, y):
         rv = cells.get((x + 1, y))
         bv = cells.get((x, y + 1))
         if rv is None and bv is None:
-            return
+            return (x, y)
         if rv is not None and bv is not None:
             go_right = rv < bv
         else:

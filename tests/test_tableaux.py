@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from operator import le
 
 from artifact.shapes import canonical, conjugate, enumerate_partitions
 from artifact.tableaux import (
     column_insert,
     column_star,
-    column_to_rows,
     columns_of,
     content,
     count_ssyt,
@@ -20,7 +19,6 @@ from artifact.tableaux import (
     enumerate_ssyt,
     freeze,
     insertion_tableau,
-    is_symplectic,
     king_floor,
     knuth_equivalent,
     row_word,
@@ -29,7 +27,14 @@ from artifact.tableaux import (
     shape,
     validate_ssyt,
 )
-from helpers import count_entry, first_column, inverse_column_word, rest_columns
+from helpers import (
+    column_to_rows,
+    count_entry,
+    first_column,
+    inverse_column_word,
+    is_symplectic,
+    rest_columns,
+)
 
 
 def test_shape_and_freeze():
@@ -84,6 +89,34 @@ def test_inverse_column_word_golden():
 def test_schensted_insert():
     assert schensted_insert(2, [[1, 3], [4]]) == [[1, 2], [3], [4]]
     assert schensted_insert(5, [[1, 3], [4]]) == [[1, 3, 5], [4]]
+
+
+def _schensted_insert_reference(m, T):
+    """The former schensted_insert: bump the first entry > m, row by row, in a copy."""
+    out = [list(row) for row in T]
+    r = 0
+    while True:
+        if r == len(out):
+            out.append([m])
+            return out
+        row = out[r]
+        for j, e in enumerate(row):
+            if e > m:
+                row[j], m = m, e
+                break
+        else:
+            row.append(m)
+            return out
+        r += 1
+
+
+def test_insertion_tableau_matches_the_copying_fold():
+    for length in range(7):
+        for word in product((1, 2, 3, 4), repeat=length):
+            T = []
+            for m in word:
+                T = _schensted_insert_reference(m, T)
+            assert insertion_tableau(word) == T, word
 
 
 def test_insertion_recovers_tableau():
