@@ -88,7 +88,12 @@ def p_aii(T: Rows) -> Rows:
 
 def q_aii(T: Rows) -> dict[tuple[int, int], int]:
     """Map each box that suc-iteration removes to the step that removed it."""
-    chain = _suc_chain(columns_of(T))
+    return _recording(_suc_chain(columns_of(T)))
+
+
+def _recording(chain: list[list[Column]]) -> dict[tuple[int, int], int]:
+    """Q of a suc chain: the boxes of one entry missing from the next get
+    that step's number."""
     Q: dict[tuple[int, int], int] = {}
     for step, (before, after) in enumerate(zip(chain, chain[1:]), start=1):
         for x, col in enumerate(before):

@@ -1,22 +1,20 @@
 """Independent character oracle for the restriction multiplicities.
 
 Characters are dicts mapping integer weight tuples of length n to positive
-multiplicities.  Both characters come from a transfer over the columns of
-the shape, which lists no tableaux and shares no code with the enumerator
-of the four models.
+multiplicities.  Both characters come from one Gelfand-Tsetlin transfer
+over horizontal strips, which lists no tableaux and shares no code with the
+enumerator, the King condition or the weights of the four models.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
-from operator import add, le
+from operator import add
 
-from .crystal import wt_ghat
-from .shapes import Partition, canonical, conjugate, part
-from .tableaux import Column, content, king_floor
+from .shapes import Partition, canonical, part
+from .tableaux import content
 
 Character = dict[tuple[int, ...], int]
 
@@ -29,45 +27,39 @@ def _add(chi: Character, weight: tuple[int, ...], m: int) -> None:
         chi.pop(weight, None)
 
 
-@cache
-def _left_neighbours(j: int | None, k: int, n: int, floor: Column) -> list[tuple[Column, list]]:
-    """Each column of length k over [1, 2n] with the columns of length j (floor
-    alone when j is None) that it is row-wise >=; read-only."""
-    lefts = [floor] if j is None else list(combinations(range(1, 2 * n + 1), j))
-    cols = combinations(range(1, 2 * n + 1), k)
-    return [(col, [left for left in lefts if all(map(le, left, col))]) for col in cols]
+def _strip_transfer(lam: Partition, n: int, rows) -> Character:
+    """Weight multiset, under sp_weight, of the semistandard tableaux of shape
+    lam over [1, 2n] whose entries <= j fill at most rows(j) rows for every
+    j, without listing one.
 
-
-def _column_transfer(lam: Partition, n: int, weight, floor: Column = ()) -> Character:
-    """Weight multiset, under weight, of the semistandard tableaux of shape lam
-    over [1, 2n] whose first column is row-wise >= floor, without listing one.
-
-    A transfer over the column lengths of lam: the state maps each possible
-    last column to a dict of partial weight -> number of column chains, and a
-    column row-wise >= its left neighbour adds weight([col], n).  This is exact
-    because weight is linear in the content, so additive over the columns.
-    """
-    state, j = {floor: {(0,) * n: 1}}, None
-    for k in conjugate(canonical(lam)):
-        step = {}
-        for col, lefts in _left_neighbours(j, k, n, floor):
-            merged = Counter()
-            for left in lefts:
-                if partial := state.get(left):
-                    merged.update(partial)
-            if merged:
-                w = weight([col], n)
-                step[col] = {tuple(map(add, v, w)): m for v, m in merged.items()}
-        state, j = step, k
-    total = Counter()
-    for partial in state.values():
-        total.update(partial)
-    return total
+    Gelfand-Tsetlin: the letters 2n, ..., 1 each remove a horizontal strip
+    nu/mu (nu_{i+1} <= mu_i <= nu_i), the boxes of that letter, so the state
+    maps each inner shape mu (zero-padded to len(lam) parts) to a dict of
+    partial weight -> number of chains, and the d letters j of a strip add
+    d * sp_weight([[j]], n)."""
+    lam = canonical(lam)
+    state = {lam: {(0,) * n: 1}}
+    for j in range(2 * n, 0, -1):
+        unit, cap, step = sp_weight([[j]], n), rows(j - 1), {}
+        for nu, partial in state.items():
+            size = sum(nu)
+            tops = [p + 1 for p in nu[:cap]] + [1] * (len(nu) - cap)  # mu_i = 0 past the cap
+            for mu in product(*map(range, nu[1:] + (0,), tops)):
+                shift = [(size - sum(mu)) * u for u in unit]
+                merged = step.setdefault(mu, {})
+                for v, m in partial.items():
+                    w = tuple(map(add, v, shift))
+                    merged[w] = merged.get(w, 0) + m
+        state = step
+    return state.get((0,) * len(lam), {})
 
 
 def restricted_gl_character(lam: Partition, n: int) -> Character:
-    """Weight multiset of all semistandard tableaux of shape lam, under wt_ghat."""
-    return _column_transfer(lam, n, wt_ghat)
+    """Weight multiset of all semistandard tableaux of shape lam over [1, 2n]
+    under wt_ghat: the strip transfer with GL's own row cap j.  It pairs the
+    letters (1, 2), (3, 4), ... as sp_weight does, not (1, 2n), (2, 2n - 1),
+    ... as wt_ghat does; the multisets agree since s_lam is symmetric."""
+    return _strip_transfer(lam, n, lambda j: j)
 
 
 def sp_weight(T, n: int) -> tuple[int, ...]:
@@ -76,16 +68,22 @@ def sp_weight(T, n: int) -> tuple[int, ...]:
     return tuple(c[i] - c[i + 1] for i in range(0, 2 * n, 2))
 
 
+def king_rows(j: int) -> int:
+    """King's rule "row y starts at an entry >= 2y - 1" as a row cap: the
+    entries <= j of a symplectic tableau fill at most (j + 1) // 2 rows."""
+    return (j + 1) // 2
+
+
 @cache
 def sp_character(mu: Partition, n: int) -> Character:
-    """Weight multiset of the symplectic (King) tableaux of shape mu: column 1
-    is row-wise >= king_floor(n).
+    """Weight multiset of the symplectic (King) tableaux of shape mu: the
+    strip transfer under the row cap king_rows.
 
     Cached; callers must treat the result as read-only.
     """
     if len(mu) > n:
         raise ValueError(f"mu has more than {n} rows")
-    return _column_transfer(mu, n, sp_weight, king_floor(n))
+    return _strip_transfer(mu, n, king_rows)
 
 
 def sp_dimension(mu: Partition, n: int) -> int:

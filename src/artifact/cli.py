@@ -12,7 +12,7 @@ import json
 import shlex
 import sys
 
-from .branching import is_k_highest, is_k_lowest, p_aii, q_aii
+from .branching import _recording, _suc_chain, staircase_flags
 from .crystal import (
     column_dominance_violation,
     tableau_eps,
@@ -22,7 +22,7 @@ from .crystal import (
 )
 from .promotion import phi_factors, pr, psi_factors
 from .shapes import format_partition, parse_partition
-from .tableaux import Rows, columns_of, validate_ssyt
+from .tableaux import Rows, columns_of, rows_of, validate_ssyt
 from .verify import (
     BudgetExceeded,
     SuiteResult,
@@ -189,8 +189,9 @@ def cmd_show(args) -> int:
     if any(e > 2 * n for row in T for e in row):
         raise UsageError(f"entries exceed {2 * n}")
     cols = columns_of(T)
-    P, Q = p_aii(T), q_aii(T)
-    k_highest, k_lowest = is_k_highest(T, n), is_k_lowest(T, n)
+    chain = _suc_chain(cols)
+    P, Q = rows_of(chain[-1]), _recording(chain)
+    k_highest, k_lowest = staircase_flags(chain[-1], n)
     steps = sorted(Q.items(), key=lambda kv: (kv[1], kv[0][1], kv[0][0]))
     violation = column_dominance_violation(cols, n)
     if args.json:

@@ -143,11 +143,10 @@ def column_star(C: Rows, S: Rows) -> Rows:
     return rows_of(cols)
 
 
-def enumerate_columns(lam: Partition, m: int, floor: Column = ()) -> Iterator[list[Column]]:
+def enumerate_columns(lam: Partition, m: int) -> Iterator[list[Column]]:
     """All semistandard tableaux of shape lam over [1, m] as column lists, a
-    chain of strictly increasing tuples each row-wise >= its left neighbour
-    (the first one >= floor, compared up to the shorter length), in
-    lexicographic order of the column reading sequence."""
+    chain of strictly increasing tuples each row-wise >= its left neighbour,
+    in lexicographic order of the column reading sequence."""
     lengths = conjugate(canonical(lam))
 
     @cache
@@ -155,7 +154,7 @@ def enumerate_columns(lam: Partition, m: int, floor: Column = ()) -> Iterator[li
         return [col for col in combinations(range(1, m + 1), k) if all(map(le, left, col))]
 
     def chain(prefix: list[Column]) -> Iterator[list[Column]]:
-        cols = after(prefix[-1] if prefix else floor, lengths[len(prefix)])
+        cols = after(prefix[-1] if prefix else (), lengths[len(prefix)])
         if len(prefix) + 1 == len(lengths):  # the last column: no leaf generators
             yield from [prefix + [col] for col in cols]
         else:
@@ -180,17 +179,12 @@ def count_ssyt(lam: Partition, m: int) -> int:
     return prod(m + x - y for x, y in boxes) // hooks
 
 
-def king_floor(n: int) -> Column:
-    """King's floor for column 1 of a symplectic tableau over [1, 2n]: row y
-    is >= 2y - 1, so the 2n entries 1, 3, ..., 4n - 1 (a row y > n would
-    need an entry above 2n)."""
-    return tuple(range(1, 4 * n, 2))
-
-
 def symplectic_columns(mu: Partition, n: int) -> Iterator[list[Column]]:
-    """Column lists of the King tableaux of shape mu over [1, 2n]: column 1
-    is row-wise >= king_floor(n)."""
-    return enumerate_columns(mu, 2 * n, king_floor(n))
+    """Column lists of the King tableaux of shape mu over [1, 2n]: those of
+    enumerate_columns(mu, 2n) whose row y starts at an entry >= 2y - 1."""
+    for cols in enumerate_columns(mu, 2 * n):
+        if all(e >= 2 * y + 1 for col in cols[:1] for y, e in enumerate(col)):
+            yield cols
 
 
 def enumerate_spt(mu: Partition, n: int) -> Iterator[Rows]:

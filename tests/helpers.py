@@ -10,7 +10,6 @@ from artifact.tableaux import Rows, columns_of, content
 # monkeypatched their names.
 SWEEP_CACHES = (
     characters.sp_character,
-    characters._left_neighbours,
     branching._reduced,
     branching._staircase_columns,
     branching._staircase_first_columns,

@@ -1,10 +1,13 @@
 """The symplectic character oracle and the greedy decomposition."""
 
+import ast
 from collections import Counter
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
+from artifact import characters
 from artifact.characters import (
     decompose,
     restricted_gl_character,
@@ -19,7 +22,10 @@ from helpers import branching_multiplicity
 
 
 # References: the former bodies of the two characters, one Counter of
-# weights over the enumerated tableaux.
+# weights over the enumerated tableaux.  The GL reference weighs by
+# wt_ghat, which pairs the letters (1, 2n), (2, 2n - 1), ..., while the
+# strip transfer pairs them as sp_weight does; the two agree because s_lam
+# is symmetric in its 2n variables, and this test is where that is checked.
 def _restricted_gl_character_reference(lam, n):
     return Counter(wt_ghat(cols, n) for cols in enumerate_columns(lam, 2 * n))
 
@@ -28,12 +34,33 @@ def _sp_character_reference(mu, n):
     return Counter(sp_weight(cols, n) for cols in symplectic_columns(mu, n))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_column_transfer_matches_the_enumeration_references(n):
-    for lam in enumerate_partitions(7, 2 * n):
+# n -> (most boxes of a GL shape, most boxes of an Sp shape)
+REFERENCE_SIZES = {1: (7, 6), 2: (7, 6), 3: (7, 6), 4: (6, 5), 5: (4, 4)}
+
+
+@pytest.mark.parametrize("n", sorted(REFERENCE_SIZES))
+def test_characters_match_the_enumeration_references(n):
+    gl_size, sp_size = REFERENCE_SIZES[n]
+    for lam in enumerate_partitions(gl_size, 2 * n):
         assert restricted_gl_character(lam, n) == _restricted_gl_character_reference(lam, n), lam
-    for mu in enumerate_partitions(6, n):
+    for mu in enumerate_partitions(sp_size, n):
         assert sp_character(mu, n) == _sp_character_reference(mu, n), mu
+
+
+def test_the_oracle_shares_no_model_code():
+    """characters takes only content from tableaux and otherwise only shapes
+    from the library, so the oracle cannot share the models' enumerator,
+    King condition or weights."""
+    tree = ast.parse(Path(characters.__file__).read_text())
+    library = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("artifact")):
+            module = (node.module or "").removeprefix("artifact.")
+            library.setdefault(module, set()).update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("artifact") for alias in node.names)
+    assert library.pop("tableaux") == {"content"}
+    assert set(library) == {"shapes"}
 
 
 def test_sp_dimension_is_the_mass_of_sp_character():

@@ -254,6 +254,22 @@ def test_show_golden(capsys, n, tableau, as_json):
     assert capsys.readouterr().out == "".join(SHOW_GOLDENS[n, tableau, as_json])
 
 
+def test_show_runs_the_suc_chain_once(capsys, monkeypatch):
+    """P, Q and both staircase flags come from one chain, wherever a module
+    binds _suc_chain."""
+    calls = []
+
+    def counted(cols):
+        calls.append(cols)
+        return chain(cols)
+
+    chain = branching._suc_chain
+    for module in (branching, cli):
+        monkeypatch.setattr(module, "_suc_chain", counted)
+    assert main(["show", "--n", "2", "--tableau", "1,2;2,3;4"]) == EXIT_PASS
+    assert len(calls) == 1
+
+
 def test_show_rejects_large_entries(capsys):
     assert main(["show", "--n", "2", "--tableau", "1,5"]) == EXIT_USAGE
 

@@ -1,9 +1,8 @@
 """Named faults that the checker must detect.
 
 Each fault replaces, by monkeypatch, the module global that the library
-actually calls: characters binds king_floor, wt_ghat, sp_weight and le by
-name and looks them up at call time, so patching them in tableaux, crystal
-or operator would not reach the oracle; verify_shape calls the
+actually calls: characters looks up king_rows, sp_weight and
+_strip_transfer by name at call time; verify_shape calls the
 staircase_flags that verify binds; branching looks up ab_sequences and
 _reduced, and crystal _dominance_step, by name.  The cold_caches fixture
 empties every table the sweep reads, so that a value cached by an earlier
@@ -15,15 +14,16 @@ check that does see it.
 """
 
 import math
-from operator import lt
+from itertools import product
+from operator import add
 
 import pytest
 
 from artifact import branching, characters, cli, crystal, promotion, shapes, tableaux, verify
-from artifact.shapes import enumerate_partitions
-from artifact.tableaux import content, enumerate_columns, enumerate_ssyt, rows_of
+from artifact.shapes import canonical, enumerate_partitions
+from artifact.tableaux import content
 from artifact.verify import verify_sweep
-from helpers import SWEEP_CACHES, is_symplectic
+from helpers import SWEEP_CACHES
 
 SWEEPS = ((2, 5), (3, 4))
 SP_WEIGHT = characters.sp_weight
@@ -32,9 +32,9 @@ AB_SEQUENCES = branching.ab_sequences
 DOMINANCE_STEP = crystal._dominance_step
 
 
-def _wt_ghat_pairing_i_with_2n_minus_i(T, n):
+def _sp_weight_pairing_2i_minus_1_with_2i_plus_2(T, n):
     c = content(T, 2 * n)
-    return tuple(c[i] - c[2 * n - i - 2] for i in range(n))
+    return tuple(c[2 * i] - c[(2 * i + 3) % (2 * n)] for i in range(n))
 
 
 def _sp_weight_negated(T, n):
@@ -56,6 +56,31 @@ def _reduced_mutant(parity: int, slack: int):
     return reduced
 
 
+def _strip_transfer_mutant(slack: int):
+    """The body of characters._strip_transfer, with the interlacing bound
+    nu_{i+1} <= mu_i lowered by slack."""
+
+    def transfer(lam, n, rows):
+        lam = canonical(lam)
+        state = {lam: {(0,) * n: 1}}
+        for j in range(2 * n, 0, -1):
+            unit, cap, step = SP_WEIGHT([[j]], n), rows(j - 1), {}
+            for nu, partial in state.items():
+                size = sum(nu)
+                tops = [p + 1 for p in nu[:cap]] + [1] * (len(nu) - cap)
+                lows = [max(p - slack, 0) for p in nu[1:] + (0,)]
+                for mu in product(*map(range, lows, tops)):
+                    shift = [(size - sum(mu)) * u for u in unit]
+                    merged = step.setdefault(mu, {})
+                    for v, m in partial.items():
+                        w = tuple(map(add, v, shift))
+                        merged[w] = merged.get(w, 0) + m
+            state = step
+        return state.get((0,) * len(lam), {})
+
+    return transfer
+
+
 def _dominance_step_without_its_zero_sentinel(col, m, n):
     # A sentinel of -inf never bounds the last coordinate, so it may turn negative.
     return DOMINANCE_STEP(col, m[:n] + (-math.inf,), n)
@@ -63,26 +88,23 @@ def _dominance_step_without_its_zero_sentinel(col, m, n):
 
 # name -> (module, global of that module, replacement)
 DETECTED = {
-    "King floor 1, 2, 3, ...": (characters, "king_floor", lambda n: tuple(range(1, 2 * n + 1))),
-    "no King floor": (characters, "king_floor", lambda n: ()),
-    "King relaxed to 2y - 2 (floor 0, 2, 4, ...)": (
+    "king_rows(j) = j, GL's row cap": (characters, "king_rows", lambda j: j),
+    "king_rows(j) = (j + 2) // 2, King relaxed to 2y - 2": (
         characters,
-        "king_floor",
-        lambda n: tuple(range(0, 4 * n - 1, 2)),
+        "king_rows",
+        lambda j: (j + 2) // 2,
     ),
-    "King floor 2, 4, 6, ...": (
+    "king_rows(j) = j // 2, King tightened to 2y": (characters, "king_rows", lambda j: j // 2),
+    "oracle sp_weight pairs 2i - 1 with 2i + 2": (
         characters,
-        "king_floor",
-        lambda n: tuple(range(2, 4 * n + 1, 2)),
+        "sp_weight",
+        _sp_weight_pairing_2i_minus_1_with_2i_plus_2,
     ),
-    "oracle wt_ghat pairs i with 2n - i": (
+    "strip interlacing bound lowered by 1": (
         characters,
-        "wt_ghat",
-        _wt_ghat_pairing_i_with_2n_minus_i,
+        "_strip_transfer",
+        _strip_transfer_mutant(1),
     ),
-    # Row-wise strict neighbours: the oracle's transfer drops every tableau
-    # with a repeated entry in a row, and decompose raises RuntimeError.
-    "oracle compares neighbouring columns with lt for le": (characters, "le", lt),
     "staircase_flags reading only the first column": (
         verify,
         "staircase_flags",
@@ -105,17 +127,11 @@ DETECTED = {
 EQUIVALENT = {
     # Sp(2n) characters are invariant under the Weyl group of type C_n,
     # sign changes included, so negating every weight gives the same
-    # multiset: each sp_character, and so each decomposition, is unchanged.
+    # multiset: each sp_character is unchanged.  The restricted GL
+    # character is unchanged too: negation swaps the letters 2i - 1 and 2i,
+    # and s_lam is symmetric in its 2n variables.  So every decomposition
+    # is unchanged.
     "sp_weight negated": (characters, "sp_weight", _sp_weight_negated),
-    # The cut floor bounds rows 1..n only, and sp_character rejects a mu
-    # with more than n rows before the transfer runs, so every
-    # character it returns is unchanged.  The King reference in
-    # test_tableaux sees it: at mu = (1, 1), n = 1 the column (1, 2) passes.
-    "King floor cut to n entries": (
-        characters,
-        "king_floor",
-        lambda n: tuple(range(1, 2 * n, 2)),
-    ),
 }
 
 
@@ -155,7 +171,11 @@ def test_the_cold_caches_fixture_clears_every_module_cache():
     assert cached == {id(f) for f in SWEEP_CACHES}
 
 
-def test_the_king_reference_sees_a_floor_cut_to_n_entries():
-    cut = EQUIVALENT["King floor cut to n entries"][2]
-    king = [T for T in enumerate_ssyt((1, 1), 2) if is_symplectic(T)]
-    assert [rows_of(cols) for cols in enumerate_columns((1, 1), 2, cut(1))] != king
+def test_the_strip_mutant_without_slack_is_the_transfer():
+    """The copied body differs from characters._strip_transfer only in the
+    slack, so the detected mutant is the bound lowered by 1 and nothing else."""
+    copy = _strip_transfer_mutant(0)
+    for n, size in SWEEPS:
+        for lam in enumerate_partitions(size, 2 * n):
+            for rows in (characters.king_rows, lambda j: j):
+                assert copy(lam, n, rows) == characters._strip_transfer(lam, n, rows), lam

@@ -103,7 +103,7 @@ def _without_shape_22(function, empty):
 def test_shared_fault_on_every_side_stops_with_an_internal_error(
     monkeypatch, capsys, time_bound, cold_caches
 ):
-    """Shape (2, 2) missing on the model side and from the column transfer
+    """Shape (2, 2) missing on the model side and from the strip transfer
     of both characters: subtracting the empty sp_character((2, 2)) cannot
     remove the weight (2, 2), so decompose raises instead of looping."""
     time_bound(30)
@@ -111,7 +111,7 @@ def test_shared_fault_on_every_side_stops_with_an_internal_error(
         verify, "enumerate_columns", _without_shape_22(tableaux.enumerate_columns, tuple)
     )
     monkeypatch.setattr(
-        characters, "_column_transfer", _without_shape_22(characters._column_transfer, dict)
+        characters, "_strip_transfer", _without_shape_22(characters._strip_transfer, dict)
     )
     with pytest.raises(RuntimeError, match=r"left the weight \(2, 2\)"):
         verify_sweep(2, 6)
