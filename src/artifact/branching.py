@@ -23,8 +23,6 @@ from .tableaux import (
     Column,
     Rows,
     columns_of,
-    enumerate_columns,
-    freeze,
     insert_into_columns,
     rows_of,
     shape,
@@ -100,25 +98,6 @@ def _recording(chain: list[list[Column]]) -> dict[tuple[int, int], int]:
             for y in range(len(after[x]) if x < len(after) else 0, len(col)):
                 Q[x + 1, y + 1] = step
     return Q
-
-
-def lr_aii_partition(lam: Partition, n: int):
-    """Group every tableau of shape lam over [1, 2n] by the shape of its P.
-
-    Returns a dict mu -> list of (T, P, Q).  Raises if two tableaux share
-    the same (P, Q) pair.
-    """
-    classes: dict[Partition, list] = {}
-    seen = set()
-    for cols in enumerate_columns(lam, 2 * n):
-        T = rows_of(cols)
-        P, Q = p_aii(T), q_aii(T)
-        key = (freeze(P), frozenset(Q.items()))
-        if key in seen:
-            raise RuntimeError(f"(P, Q) collision at {T}")
-        seen.add(key)
-        classes.setdefault(shape(P), []).append((T, P, Q))
-    return classes
 
 
 def a_staircase(mu: Partition, n: int) -> Rows:

@@ -1,8 +1,10 @@
 """Independent character oracle for the restriction multiplicities.
 
-Characters are dicts mapping integer weight tuples of length n to positive
-multiplicities.  Both characters come from one Gelfand-Tsetlin transfer
-over horizontal strips, which lists no tableaux and shares no code with the
+The oracle is Littlewood's restriction rule with King's modification
+rule, which needs no weights and lists no tableaux.  The characters below
+it are its test reference: dicts mapping integer weight tuples of length n
+to positive multiplicities, both from one Gelfand-Tsetlin transfer over
+horizontal strips, peeled by decompose.  Nothing here shares code with the
 enumerator, the King condition or the weights of the four models.
 """
 
@@ -17,6 +19,81 @@ from .shapes import Partition, canonical, part
 from .tableaux import content
 
 Character = dict[tuple[int, ...], int]
+
+
+def king_modification(mu: Partition, n: int) -> tuple[int, Partition] | None:
+    """(sign, nu) with sp_mu = sign * sp_nu for Sp(2n), or None when sp_mu
+    vanishes (King 1971; Koike-Terada 1987).
+
+    While p = len(mu) > n, the rim hook of length h = 2p - 2n - 2 that ends
+    in the first column is removed: on the beads mu_i + p - i, the bead h
+    moves to 0.  The term is 0 when h = 0 or no bead is h, and each removal
+    multiplies by (-1) ** (the columns of the hook)."""
+    sign = 1
+    while (p := len(mu)) > n:
+        h = 2 * p - 2 * n - 2
+        beads = [m + p - i for i, m in enumerate(mu, start=1)]
+        if h == 0 or h not in beads:
+            return None
+        i = beads.index(h)  # the hook spans rows i + 1, ..., p: p - i rows
+        sign *= (-1) ** (h - (p - i) + 1)
+        beads = beads[:i] + beads[i + 1 :] + [0]
+        mu = canonical(b - p + k for k, b in enumerate(beads, start=1))
+    return sign, mu
+
+
+def even_column_lr_count(lam: Partition, mu: Partition) -> int:
+    """Sum of the Littlewood-Richardson coefficients c^lam_{mu delta} over
+    the delta with even columns (delta_1 = delta_2, delta_3 = delta_4, ...).
+
+    Counts the LR fillings of lam/mu, row by row: rows weakly increase,
+    columns strictly increase and the reverse reading word is a lattice
+    word.  Row r (0-based) holds the letters 1, ..., r + 1, and its filling
+    is the chain ends[k] = mu_r + (its entries <= k).  Columns are strict
+    when ends[k] <= above[k - 1], the chain of the row above.  A row is
+    read right to left, so its letters k come before its letters k - 1,
+    and the word stays a lattice word when the count of k, with this
+    row's, is at most the count of k - 1 in the rows above (before)."""
+    rows = len(lam)
+
+    def fill(r, ends, above, before, count) -> int:
+        k = len(ends)  # the next letter
+        if k > r + 1:  # row r is full: start row r + 1
+            r, ends, above, before, k = r + 1, [part(mu, r + 2)], ends, count, 1
+        if r == rows:
+            return int(count[::2] == count[1::2])
+        start, end = ends[-1], lam[r]
+        top = min(end, above[k - 1])
+        if k > 1:
+            top = min(top, start + before[k - 2] - before[k - 1])
+        total = 0
+        for e in range(start if k <= r else end, top + 1):
+            grown = count.copy()
+            grown[k - 1] += e - start
+            total += fill(r, ends + [e], above, before, grown)
+        return total
+
+    zero = [0] * (rows + rows % 2)
+    return fill(0, [part(mu, 1)], [part(lam, 1)], zero, zero)
+
+
+def littlewood_branching(lam: Partition, n: int) -> dict[Partition, int]:
+    """Multiplicity of each Sp(2n) irreducible in the GL(2n) irreducible lam:
+    Littlewood's rule, the sum over mu inside lam of even_column_lr_count,
+    with each sp_mu made a signed sp_nu by king_modification.
+
+    An even-column delta has even size, so mu with |lam| - |mu| odd are
+    skipped, and mu whose modified term vanishes are never counted."""
+    lam = canonical(lam)
+    size, out = sum(lam), {}
+    for mu in product(*(range(p + 1) for p in lam)):
+        if (size - sum(mu)) % 2 or any(a < b for a, b in zip(mu, mu[1:])):
+            continue
+        mu = canonical(mu)
+        if (term := king_modification(mu, n)) and (m := even_column_lr_count(lam, mu)):
+            sign, nu = term
+            out[nu] = out.get(nu, 0) + sign * m
+    return {nu: m for nu, m in out.items() if m}
 
 
 def _add(chi: Character, weight: tuple[int, ...], m: int) -> None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .branching import _suc_chain, staircase_flags
-from .characters import decompose, restricted_gl_character, sp_dimension
+from .characters import littlewood_branching, sp_dimension
 from .crystal import column_dominance_violation, wt_ghat, wt_k
 from .promotion import phi, pr, pr_inv, psi
 from .shapes import Partition, canonical, conjugate, enumerate_partitions, format_partition
@@ -93,7 +93,7 @@ def verify_shape(lam: Partition, n: int) -> VerificationReport:
             highest.append((rows_of(cols), rows_of(P)))
         if is_lowest:
             lowest.append((rows_of(cols), rows_of(P)))
-    oracle = decompose(restricted_gl_character(lam, n), n)
+    oracle = littlewood_branching(lam, n)
     # One tally per model, in ModelRow's field order; rec is the shape of P.
     tallies = [
         Counter(_tally_key(wt_ghat(T, n)) for T in dominant),
@@ -255,15 +255,10 @@ def random_ssyt(lam: Partition, m: int, rng: random.Random) -> Rows:
     return rows_of(cols)
 
 
-def random_shape(max_size: int, max_length: int, rng: random.Random) -> Partition:
-    shapes = enumerate_partitions(max_size, max_length)
-    return shapes[rng.randrange(len(shapes))]
-
-
 def promotion_suite_random(n: int, trials: int, seed: int) -> SuiteResult:
     out = SuiteResult()
     rng = random.Random(seed)
-    shapes = enumerate_partitions(8, 2 * n)  # drawn from as random_shape does
+    shapes = enumerate_partitions(8, 2 * n)
     for _ in range(trials):
         lam = shapes[rng.randrange(len(shapes))]
         T = random_ssyt(lam, 2 * n, rng)

@@ -1,13 +1,16 @@
 """Tableau and shape helpers that only the tests use."""
 
-from artifact import branching, characters, crystal
-from artifact.characters import decompose, restricted_gl_character
-from artifact.shapes import Partition, canonical
-from artifact.tableaux import Rows, columns_of, content
+import random
 
-# Every module-level functools cache that verify_sweep reads, bound at
-# import so that the originals can be cleared while a test has
-# monkeypatched their names.
+from artifact import branching, characters, crystal
+from artifact.branching import _recording, _suc_chain
+from artifact.characters import decompose, restricted_gl_character
+from artifact.shapes import Partition, canonical, enumerate_partitions
+from artifact.tableaux import Rows, columns_of, content, enumerate_columns, freeze, rows_of, shape
+
+# Every module-level functools cache of the library, bound at import so
+# that the originals can be cleared while a test has monkeypatched their
+# names.
 SWEEP_CACHES = (
     characters.sp_character,
     branching._reduced,
@@ -60,3 +63,28 @@ def wt_gl(T: Rows, N: int) -> tuple[int, ...]:
 def young_diagram(lam: Partition) -> set[tuple[int, int]]:
     """All boxes (x, y) with 1 <= y <= len(lam), 1 <= x <= lam[y-1]."""
     return {(x, y) for y, row in enumerate(lam, start=1) for x in range(1, row + 1)}
+
+
+def lr_aii_partition(lam: Partition, n: int) -> dict[Partition, list]:
+    """Group every tableau of shape lam over [1, 2n] by the shape of its P.
+
+    Returns a dict mu -> list of (T, P, Q), P and Q from one suc chain per
+    tableau.  Raises if two tableaux share the same (P, Q) pair.
+    """
+    classes: dict[Partition, list] = {}
+    seen = set()
+    for cols in enumerate_columns(lam, 2 * n):
+        chain = _suc_chain(cols)
+        T, P, Q = rows_of(cols), rows_of(chain[-1]), _recording(chain)
+        key = (freeze(P), frozenset(Q.items()))
+        if key in seen:
+            raise RuntimeError(f"(P, Q) collision at {T}")
+        seen.add(key)
+        classes.setdefault(shape(P), []).append((T, P, Q))
+    return classes
+
+
+def random_shape(max_size: int, max_length: int, rng: random.Random) -> Partition:
+    """One shape drawn uniformly from enumerate_partitions(max_size, max_length)."""
+    shapes = enumerate_partitions(max_size, max_length)
+    return shapes[rng.randrange(len(shapes))]

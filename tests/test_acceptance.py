@@ -59,12 +59,11 @@ from artifact.verify import (
     bijection_suite,
     promotion_suite_exhaustive,
     promotion_suite_random,
-    random_shape,
     random_ssyt,
     verify_shape,
     verify_sweep,
 )
-from helpers import column_to_rows
+from helpers import column_to_rows, random_shape
 
 
 def _report(num, ok, detail):

@@ -12,7 +12,6 @@ from artifact.branching import (
     b_staircase,
     is_k_highest,
     is_k_lowest,
-    lr_aii_partition,
     n2_condition_khw,
     n2_condition_klw,
     n2_family_dominant,
@@ -45,6 +44,7 @@ from helpers import (
     column_to_rows,
     first_column,
     is_symplectic,
+    lr_aii_partition,
     rest_columns,
     young_diagram,
 )

@@ -10,6 +10,8 @@ import pytest
 from artifact import characters
 from artifact.characters import (
     decompose,
+    king_modification,
+    littlewood_branching,
     restricted_gl_character,
     sp_character,
     sp_dimension,
@@ -45,6 +47,34 @@ def test_characters_match_the_enumeration_references(n):
         assert restricted_gl_character(lam, n) == _restricted_gl_character_reference(lam, n), lam
     for mu in enumerate_partitions(sp_size, n):
         assert sp_character(mu, n) == _sp_character_reference(mu, n), mu
+
+
+# (n, most boxes) of the sweeps on which the rule meets its reference.
+CROSS_CHECK_SWEEPS = ((1, 10), (2, 12), (3, 8), (4, 7), (5, 7))
+
+
+def test_littlewood_branching_is_the_peeled_restricted_character(time_bound, cold_caches):
+    """Littlewood's rule with King's modification, the sweep's oracle, gives
+    the multiplicities that peeling the strip transfer's restricted
+    character gives, on every shape of these sweeps."""
+    time_bound(30)
+    for n, size in CROSS_CHECK_SWEEPS:
+        for lam in enumerate_partitions(size, 2 * n):
+            reference = decompose(restricted_gl_character(lam, n), n)
+            assert littlewood_branching(lam, n) == reference, (lam, n)
+
+
+def test_king_modification():
+    assert king_modification((2, 1), 2) == (1, (2, 1))
+    # Sp(2): sp_(1,1) vanishes (h = 0) and sp_(1,1,1) = e_3 - e_1 = -sp_(1).
+    assert king_modification((1, 1), 1) is None
+    assert king_modification((1, 1, 1), 1) == (-1, (1,))
+    # The hook of length 4 in (2, 2, 1, 1) has 2 columns; with n = 2 the
+    # hook of length 2 is vertical (1 column).
+    assert king_modification((2, 2, 1, 1), 1) == (1, (2,))
+    assert king_modification((2, 2, 1, 1), 2) == (-1, (2, 2))
+    # A horizontal hook leaves 3 rows for n = 2, and then h = 0.
+    assert king_modification((2, 2, 2, 2), 2) is None
 
 
 def test_the_oracle_shares_no_model_code():
@@ -131,6 +161,21 @@ def test_decompose_golden():
 def test_decompose_recovers_irreducibles():
     for mu in enumerate_partitions(4, 2):
         assert decompose(dict(sp_character(mu, 2)), 2) == {mu: 1}
+
+
+def test_decompose_stops_when_a_subtraction_leaves_its_weight(monkeypatch, cold_caches):
+    """With shape (2, 2) missing from the strip transfer, subtracting the
+    empty sp_character((2, 2)) cannot remove the weight (2, 2), so decompose
+    raises instead of looping."""
+    chi = restricted_gl_character((2, 2), 2)
+    transfer = characters._strip_transfer
+    monkeypatch.setattr(
+        characters,
+        "_strip_transfer",
+        lambda lam, *rest: {} if tuple(lam) == (2, 2) else transfer(lam, *rest),
+    )
+    with pytest.raises(RuntimeError, match=r"left the weight \(2, 2\)"):
+        decompose(chi, 2)
 
 
 def test_decompose_rejects_garbage():

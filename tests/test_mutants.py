@@ -1,16 +1,22 @@
 """Named faults that the checker must detect.
 
 Each fault replaces, by monkeypatch, the module global that the library
-actually calls: characters looks up king_rows, sp_weight and
-_strip_transfer by name at call time; verify_shape calls the
-staircase_flags that verify binds; branching looks up ab_sequences and
-_reduced, and crystal _dominance_step, by name.  The cold_caches fixture
-empties every table the sweep reads, so that a value cached by an earlier
-sweep cannot hide a fault.  A fault is detected when verify_sweep(2, 5) or
-verify_sweep(3, 4) gives a failing report or raises RuntimeError (exit 4
-on the command line); a pass or a hang is a miss.  A fault that no sweep
-can see stays in the table, marked equivalent, with the argument and the
-check that does see it.
+actually calls: characters looks up king_modification,
+even_column_lr_count, king_rows, sp_weight and _strip_transfer by name at
+call time; verify_shape calls the staircase_flags that verify binds;
+branching looks up ab_sequences and _reduced, and crystal _dominance_step,
+by name.  The cold_caches fixture empties every table the library keeps,
+so that a value cached by an earlier sweep cannot hide a fault.
+
+A fault is detected when verify_sweep(2, 5) or verify_sweep(3, 4) gives a
+failing report or raises RuntimeError (exit 4 on the command line); a pass
+or a hang is a miss.  The sweep's oracle is littlewood_branching, so a
+fault in the strip transfer, king_rows or sp_weight, which only the test
+reference decompose(restricted_gl_character(lam, n), n) still runs, is
+detected instead when that reference disagrees with littlewood_branching
+on a shape of the same two sweeps, or raises RuntimeError.  A fault that no
+check can see stays in the table, marked equivalent, with the argument and
+the check that does see it.
 """
 
 import math
@@ -20,12 +26,15 @@ from operator import add
 import pytest
 
 from artifact import branching, characters, cli, crystal, promotion, shapes, tableaux, verify
-from artifact.shapes import canonical, enumerate_partitions
+from artifact.characters import decompose, littlewood_branching, restricted_gl_character
+from artifact.shapes import canonical, enumerate_partitions, part
 from artifact.tableaux import content
 from artifact.verify import verify_sweep
 from helpers import SWEEP_CACHES
 
 SWEEPS = ((2, 5), (3, 4))
+# The characters globals that only the test reference calls.
+REFERENCE = {"king_rows", "sp_weight", "_strip_transfer"}
 SP_WEIGHT = characters.sp_weight
 STAIRCASE_FLAGS = verify.staircase_flags
 AB_SEQUENCES = branching.ab_sequences
@@ -81,6 +90,56 @@ def _strip_transfer_mutant(slack: int):
     return transfer
 
 
+def _king_modification_mutant(signed: bool, slack: int):
+    """The body of characters.king_modification, with the sign kept or
+    dropped and the hook length h raised by slack."""
+
+    def king_modification(mu, n):
+        sign = 1
+        while (p := len(mu)) > n:
+            h = 2 * p - 2 * n - 2 + slack
+            beads = [m + p - i for i, m in enumerate(mu, start=1)]
+            if h == 0 or h not in beads:
+                return None
+            i = beads.index(h)
+            sign *= (-1) ** (h - (p - i) + 1) if signed else 1
+            beads = beads[:i] + beads[i + 1 :] + [0]
+            mu = canonical(b - p + k for k, b in enumerate(beads, start=1))
+        return sign, mu
+
+    return king_modification
+
+
+def _even_column_lr_count_mutant(lattice: bool, even: bool):
+    """The body of characters.even_column_lr_count, with the lattice
+    condition and the even-column content test each kept or dropped."""
+
+    def even_column_lr_count(lam, mu):
+        rows = len(lam)
+
+        def fill(r, ends, above, before, count):
+            k = len(ends)
+            if k > r + 1:
+                r, ends, above, before, k = r + 1, [part(mu, r + 2)], ends, count, 1
+            if r == rows:
+                return int(count[::2] == count[1::2] or not even)
+            start, end = ends[-1], lam[r]
+            top = min(end, above[k - 1])
+            if k > 1 and lattice:
+                top = min(top, start + before[k - 2] - before[k - 1])
+            total = 0
+            for e in range(start if k <= r else end, top + 1):
+                grown = count.copy()
+                grown[k - 1] += e - start
+                total += fill(r, ends + [e], above, before, grown)
+            return total
+
+        zero = [0] * (rows + rows % 2)
+        return fill(0, [part(mu, 1)], [part(lam, 1)], zero, zero)
+
+    return even_column_lr_count
+
+
 def _dominance_step_without_its_zero_sentinel(col, m, n):
     # A sentinel of -inf never bounds the last coordinate, so it may turn negative.
     return DOMINANCE_STEP(col, m[:n] + (-math.inf,), n)
@@ -122,6 +181,26 @@ DETECTED = {
         "_dominance_step",
         _dominance_step_without_its_zero_sentinel,
     ),
+    "King's modification without its sign": (
+        characters,
+        "king_modification",
+        _king_modification_mutant(signed=False, slack=0),
+    ),
+    "King's hook length h = 2p - 2n, off by 2": (
+        characters,
+        "king_modification",
+        _king_modification_mutant(signed=True, slack=2),
+    ),
+    "LR fillings without the lattice condition": (
+        characters,
+        "even_column_lr_count",
+        _even_column_lr_count_mutant(lattice=False, even=True),
+    ),
+    "LR fillings of every content, not only even columns": (
+        characters,
+        "even_column_lr_count",
+        _even_column_lr_count_mutant(lattice=True, even=False),
+    ),
 }
 
 EQUIVALENT = {
@@ -135,9 +214,21 @@ EQUIVALENT = {
 }
 
 
-def _detected() -> bool:
+def _sweeps_fail() -> bool:
+    return any(not report.passed for sweep in SWEEPS for report in verify_sweep(*sweep))
+
+
+def _reference_disagrees() -> bool:
+    return any(
+        littlewood_branching(lam, n) != decompose(restricted_gl_character(lam, n), n)
+        for n, size in SWEEPS
+        for lam in enumerate_partitions(size, 2 * n)
+    )
+
+
+def _detected(check) -> bool:
     try:
-        return any(not report.passed for sweep in SWEEPS for report in verify_sweep(*sweep))
+        return check()
     except RuntimeError:
         return True
 
@@ -145,8 +236,10 @@ def _detected() -> bool:
 @pytest.mark.parametrize("name", sorted(DETECTED))
 def test_mutant_is_detected(name, monkeypatch, time_bound, cold_caches):
     time_bound(30)
-    monkeypatch.setattr(*DETECTED[name])
-    assert _detected(), name
+    module, glob, replacement = DETECTED[name]
+    monkeypatch.setattr(module, glob, replacement)
+    in_reference = module is characters and glob in REFERENCE
+    assert _detected(_reference_disagrees if in_reference else _sweeps_fail), name
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENT))
@@ -159,7 +252,8 @@ def test_equivalent_mutant_passes_every_sweep(name, monkeypatch, time_bound, col
     }
     characters.sp_character.cache_clear()
     monkeypatch.setattr(*EQUIVALENT[name])
-    assert not _detected(), name
+    assert not _detected(_sweeps_fail), name
+    assert not _detected(_reference_disagrees), name
     assert {key: characters.sp_character(*key) for key in expected} == expected, name
 
 
@@ -179,3 +273,18 @@ def test_the_strip_mutant_without_slack_is_the_transfer():
         for lam in enumerate_partitions(size, 2 * n):
             for rows in (characters.king_rows, lambda j: j):
                 assert copy(lam, n, rows) == characters._strip_transfer(lam, n, rows), lam
+
+
+def test_the_littlewood_mutants_without_their_faults_are_the_rule():
+    """The copied bodies differ from king_modification and
+    even_column_lr_count only in their switches, so each detected mutant is
+    its one fault and nothing else."""
+    modification = _king_modification_mutant(signed=True, slack=0)
+    count = _even_column_lr_count_mutant(lattice=True, even=True)
+    for n, size in SWEEPS:
+        for lam in enumerate_partitions(size, 2 * n):
+            assert modification(lam, n) == characters.king_modification(lam, n), lam
+            for mu in enumerate_partitions(size, 2 * n):
+                if len(mu) > len(lam) or any(a > b for a, b in zip(mu, lam)):
+                    continue
+                assert count(lam, mu) == characters.even_column_lr_count(lam, mu), (lam, mu)

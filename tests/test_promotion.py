@@ -25,7 +25,8 @@ from artifact.promotion import (
 )
 from artifact.shapes import enumerate_partitions
 from artifact.tableaux import enumerate_ssyt, insertion_tableau, row_word, validate_ssyt
-from artifact.verify import random_shape, random_ssyt
+from artifact.verify import random_ssyt
+from helpers import random_shape
 
 
 def test_cells_rows_roundtrip():

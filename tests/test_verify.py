@@ -11,7 +11,7 @@ import pytest
 from artifact import characters, tableaux, verify
 from artifact.branching import is_k_highest, is_k_lowest, p_aii
 from artifact.crystal import is_ghat_dominant
-from artifact.cli import EXIT_FAIL, EXIT_INTERNAL, main
+from artifact.cli import EXIT_FAIL, main
 from artifact.shapes import enumerate_partitions
 from artifact.tableaux import enumerate_ssyt
 from artifact.verify import (
@@ -19,11 +19,11 @@ from artifact.verify import (
     ModelRow,
     SuiteResult,
     bijection_suite,
-    random_shape,
     random_ssyt,
     verify_shape,
     verify_sweep,
 )
+from helpers import random_shape
 
 
 @pytest.mark.parametrize("n, max_size", [(2, 6), (3, 4)])
@@ -100,23 +100,25 @@ def _without_shape_22(function, empty):
     return lambda lam, *rest: empty() if tuple(lam) == (2, 2) else function(lam, *rest)
 
 
-def test_shared_fault_on_every_side_stops_with_an_internal_error(
-    monkeypatch, capsys, time_bound, cold_caches
+def test_shared_fault_on_every_side_fails_the_hook_content_count(
+    monkeypatch, capsys, time_bound
 ):
-    """Shape (2, 2) missing on the model side and from the strip transfer
-    of both characters: subtracting the empty sp_character((2, 2)) cannot
-    remove the weight (2, 2), so decompose raises instead of looping."""
+    """Shape (2, 2) missing on the model side and from littlewood_branching:
+    the five models then agree on no row at all, and the third side,
+    count_ssyt((2, 2), 4) = 20 by the hook-content formula, fails the
+    dimension check against no tableaux and a Weyl dimension sum of 0."""
     time_bound(30)
     monkeypatch.setattr(
         verify, "enumerate_columns", _without_shape_22(tableaux.enumerate_columns, tuple)
     )
     monkeypatch.setattr(
-        characters, "_strip_transfer", _without_shape_22(characters._strip_transfer, dict)
+        verify, "littlewood_branching", _without_shape_22(characters.littlewood_branching, dict)
     )
-    with pytest.raises(RuntimeError, match=r"left the weight \(2, 2\)"):
-        verify_sweep(2, 6)
-    assert main(["verify", "--n", "2", "--max-size", "6"]) == EXIT_INTERNAL
-    assert capsys.readouterr().err.startswith("internal error: subtracting")
+    failing = [r for r in verify_sweep(2, 6) if not r.passed]
+    assert [(r.lam, r.rows, r.sst_total, r.sp_dim_sum) for r in failing] == [((2, 2), [], 0, 0)]
+    assert tableaux.count_ssyt((2, 2), 4) == 20
+    assert main(["verify", "--n", "2", "--max-size", "6"]) == EXIT_FAIL
+    assert "dimension identity\tMISMATCH" in capsys.readouterr().out
 
 
 def test_shared_fault_on_the_model_side_fails_the_oracle_rows_and_dimension_check(
