@@ -135,16 +135,6 @@ def staircase_flags(P: list[Column], n: int) -> tuple[bool, bool]:
     return P == A, P == B
 
 
-def is_k_highest(T: Rows, n: int) -> bool:
-    """True iff P has row y constantly a_y."""
-    return staircase_flags(_suc_chain(columns_of(T))[-1], n)[0]
-
-
-def is_k_lowest(T: Rows, n: int) -> bool:
-    """True iff P has row y constantly b_y."""
-    return staircase_flags(_suc_chain(columns_of(T))[-1], n)[1]
-
-
 def p_aii_range(T: Rows, a: int, b: int) -> Rows:
     """P of the subcrystal on the letter window [a, b].
 
@@ -231,7 +221,7 @@ def _klw_form(T: Rows):
 def n2_family_klw(T: Rows) -> bool:
     """Transcribed closed-form test for rank-2 lowest-weight tableaux.
 
-    Known not to match is_k_lowest; kept verbatim so the discrepancy is
+    Known not to match the lowest set; kept verbatim so the discrepancy is
     visible.  See n2_family_klw_corrected for the exact version.
     """
     form = _klw_form(T)
@@ -247,7 +237,7 @@ def n2_family_klw_corrected(T: Rows) -> bool:
 
     Same row form as n2_family_klw, but the inequality bounds the 3-run of
     row 2 against the 4-run of row 3: with q the number of 3s in row 2,
-    0 <= (lam_3 - lam_4) - q <= lam_1 - lam_2.  Matches is_k_lowest on
+    0 <= (lam_3 - lam_4) - q <= lam_1 - lam_2.  Matches the lowest set on
     every tableau with at most 9 boxes in a 4-row shape (checked
     exhaustively).
     """
@@ -274,7 +264,7 @@ def n2_condition_klw(T: Rows) -> bool:
     """Rank-2 lowest-weight test by crystal operators alone, transcribed
     verbatim.
 
-    Known not to match is_k_lowest in either direction (e.g. the column
+    Known not to match the lowest set in either direction (e.g. the column
     with entries 1, 2 is lowest but rejected here; the single box 4 is not
     lowest but accepted).  Kept verbatim so the discrepancy is visible.
     """

@@ -2,10 +2,15 @@
 bijections built from promotion composites.
 
 Skew and ragged tableaux are dicts mapping boxes (x, y) to an entry, with
-None marking a hole; promotion and its inverse slide on the rows directly.
+None marking a hole.  Promotion and its inverse slide on a flat row-major
+list of the entries, with per-shape neighbour tables.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from itertools import accumulate
+from operator import itemgetter, le, lt
 
 from .tableaux import Rows, validate_ssyt
 
@@ -115,91 +120,115 @@ def res(T: Rows, a: int, b: int, c: int, d: int) -> Rows:
     return _slide_out(cells, sorted(holes, key=lambda box: (holes[box], box[0]), reverse=True))
 
 
-def _check_window(a: int, b: int) -> None:
+@cache
+def _tables(lengths: tuple[int, ...]) -> tuple:
+    """Tables of the kernels for these row lengths, on row-major cell indices
+    and a sentinel index, the box count, for every missing neighbour:
+    ((left, above, pr's movers by (x, -y)), (right, below, pr_inv's movers by
+    (-x, y)), the row slices, a semistandard test for a straight shape)."""
+    starts = [0, *accumulate(lengths)]
+    size = starts[-1]
+    cells = [(x, y) for y, k in enumerate(lengths) for x in range(k)]
+    ends = [*lengths, 0]  # row y + 1 of the last row is empty
+    left = [i - 1 if x else size for i, (x, y) in enumerate(cells)]
+    above = [starts[y - 1] + x if y and x < ends[y - 1] else size for x, y in cells]
+    right = [i + 1 if x + 1 < ends[y] else size for i, (x, y) in enumerate(cells)]
+    below = [starts[y + 1] + x if x < ends[y + 1] else size for x, y in cells]
+    # Rows weakly (h0 to h1) and columns strictly (v0 to v1) increase from E[0] >= 1.
+    (h0, h1), (v0, v1) = _readers(right, size), _readers(below, size)
+
+    def is_ssyt(E: list[int]) -> bool:
+        return not E or E[0] >= 1 and all(map(le, h0(E), h1(E))) and all(map(lt, v0(E), v1(E)))
+
+    pr_movers = sorted(range(size), key=lambda i: (cells[i][0], -cells[i][1]))
+    pr_inv_movers = sorted(range(size), key=lambda i: (-cells[i][0], cells[i][1]))
+    spans = list(zip(starts, starts[1:]))
+    return (left, above, pr_movers), (right, below, pr_inv_movers), spans, is_ssyt
+
+
+def _readers(neighbour: list[int], size: int) -> list:
+    """Two functions giving the entries at the cells with a neighbour in the
+    table, and at those neighbours, as tuples; the first pair is read twice,
+    since itemgetter returns a bare entry for one index."""
+    pairs = [(i, j) for i, j in enumerate(neighbour) if j < size]
+    return [itemgetter(*side, side[0]) for side in zip(*pairs)] or [lambda E: ()] * 2
+
+
+def _pr_flat(E: list[int], tables: tuple, a: int, b: int) -> list[int]:
+    """pr on the window [a, b] of the row-major entries E of a tableau: each
+    b, leftmost first, bottom first in a column, swaps with its larger left
+    or above neighbour in [a, b), above on a tie, and becomes a; the other
+    in-window entries increase by 1.  W reads 0 for all other entries, the
+    settled travelers too, so a later one cannot drag them along."""
+    if a == b:
+        return E[:]
+    left, above, movers = tables[0]
+    W = [e if a <= e < b else 0 for e in E]
+    W.append(0)
+    for i in movers:
+        if E[i] == b:
+            while True:
+                l, u = left[i], above[i]
+                lv, uv = W[l], W[u]
+                if lv > uv:
+                    W[i], i = lv, l
+                elif uv:
+                    W[i], i = uv, u
+                else:
+                    W[i] = 0
+                    break
+    return [w + 1 if w else a if a <= e <= b else e for w, e in zip(W, E)]
+
+
+def _pr_inv_flat(E: list[int], tables: tuple, a: int, b: int) -> list[int]:
+    """pr_inv on the window [a, b] of the row-major entries E of a tableau:
+    each a becomes b and, rightmost first, top first in a column, swaps with
+    its smaller right or below neighbour <= b, below on a tie; the other
+    in-window entries decrease by 1.  W reads b + 1 for all other entries."""
+    if a == b:
+        return E[:]
+    right, below, movers = tables[1]
+    out = b + 1
+    W = [b if e == a else e - 1 if a < e <= b else out for e in E]
+    W.append(out)
+    for i in movers:
+        if E[i] == a:
+            while True:
+                r, d = right[i], below[i]
+                rv, dv = W[r], W[d]
+                if rv < dv:
+                    W[i], i = rv, r
+                elif dv < out:
+                    W[i], i = dv, d
+                else:
+                    W[i] = b
+                    break
+    return [e if w == out else w for w, e in zip(W, E)]
+
+
+def _on_rows(kernel, T: Rows, a: int, b: int, name: str) -> Rows:
+    """The kernel's image of T on the window [a, b], as rows; ValueError
+    unless 1 <= a <= b and, for a < b, the image is semistandard."""
     if not 1 <= a <= b:
         raise ValueError(f"promotion window [{a}, {b}] needs 1 <= a <= b")
+    tables = _tables(tuple(map(len, T)))
+    E = kernel([e for row in T for e in row], tables, a, b)
+    U = [E[s:t] for s, t in tables[2]]
+    if a != b and not validate_ssyt(U):
+        raise ValueError(f"{name} broke semistandardness")
+    return U
 
 
 def pr_inv(T: Rows, a: int, b: int) -> Rows:
-    """Inverse promotion on the letter window [a, b]; T must be semistandard.
-
-    Entries a become b and slide outward, rightmost first; the other
-    in-window entries decrease by 1.  Out-of-window boxes are untouched.
-    After the shift the in-window entries are exactly the ones <= b to the
-    right of or below an in-window box, so a traveler swaps with such a
-    neighbor: the smaller one, below on a tie.
-    """
-    _check_window(a, b)
-    U = [list(row) for row in T]
-    if a == b:
-        return U
-    movers = []
-    for y, row in enumerate(U):
-        for x, e in enumerate(row):
-            if e == a:
-                row[x] = b
-                movers.append((x, y))
-            elif a < e <= b:
-                row[x] = e - 1
-    movers.sort(key=lambda box: (-box[0], box[1]))
-    for x, y in movers:
-        while True:
-            row = U[y]
-            below = U[y + 1] if y + 1 < len(U) else ()
-            rv = row[x + 1] if x + 1 < len(row) and row[x + 1] <= b else None
-            bv = below[x] if x < len(below) and below[x] <= b else None
-            if rv is not None and (bv is None or rv < bv):
-                row[x] = rv
-                x += 1
-            elif bv is not None:
-                row[x] = bv
-                y += 1
-            else:
-                row[x] = b
-                break
-    if not validate_ssyt(U):
-        raise ValueError("inverse promotion broke semistandardness")
-    return U
+    """Inverse promotion on the letter window [a, b] (see _pr_inv_flat); T
+    must be semistandard."""
+    return _on_rows(_pr_inv_flat, T, a, b, "inverse promotion")
 
 
 def pr(T: Rows, a: int, b: int) -> Rows:
-    """Promotion on the letter window [a, b]; two-sided inverse of pr_inv.
-    T must be semistandard: the result is unspecified otherwise.
-
-    Entries b slide inward, leftmost first, and become a; the other
-    in-window entries increase by 1.  The in-window entries are exactly the
-    ones >= a to the left of or above an in-window box, so a traveler swaps
-    with a neighbor in [a, b): the larger one, above on a tie.  A b that
-    already settled is no target, so a later traveler cannot drag it along.
-    """
-    _check_window(a, b)
-    U = [list(row) for row in T]
-    if a == b:
-        return U
-    movers = [(x, y) for y, row in enumerate(U) for x, e in enumerate(row) if e == b]
-    movers.sort(key=lambda box: (box[0], -box[1]))
-    for x, y in movers:
-        while True:
-            row = U[y]
-            above = U[y - 1] if y else ()
-            lv = row[x - 1] if x and a <= row[x - 1] < b else None
-            av = above[x] if x < len(above) and a <= above[x] < b else None
-            if lv is not None and (av is None or lv > av):
-                row[x] = lv
-                x -= 1
-            elif av is not None:
-                row[x] = av
-                y -= 1
-            else:
-                row[x] = b
-                break
-    for row in U:
-        for x, e in enumerate(row):
-            if a <= e <= b:
-                row[x] = a if e == b else e + 1
-    if not validate_ssyt(U):
-        raise ValueError("promotion broke semistandardness")
-    return U
+    """Promotion on the letter window [a, b] (see _pr_flat); two-sided
+    inverse of pr_inv.  T must be semistandard."""
+    return _on_rows(_pr_flat, T, a, b, "promotion")
 
 
 def phi_factors(n: int) -> list[tuple[int, int]]:
@@ -255,10 +284,3 @@ def res_via_promotion(T: Rows, a: int, b: int, c: int, d: int) -> Rows:
     kept = restrict(U, a, top, top, top)
     rows = rows_from_cells(kept)
     return [[e + (c - b - 1) if e > b else e for e in row] for row in rows]
-
-
-def skew_row_word(cells: Cells) -> list[int]:
-    """Row word of the non-hole entries: bottom row first, left to right."""
-    entries = [(y, x, e) for (x, y), e in cells.items() if e is not None]
-    entries.sort(key=lambda t: (-t[0], t[1]))
-    return [e for _, _, e in entries]

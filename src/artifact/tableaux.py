@@ -9,11 +9,11 @@ left to right; the row enumerators are views of enumerate_columns.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from functools import cache
 from itertools import combinations, zip_longest
 from math import prod
 from operator import le, lt
-from typing import Iterator
 
 from .shapes import Partition, canonical, conjugate
 
@@ -73,24 +73,12 @@ def insert_into_rows(m: int, rows: Rows) -> None:
     rows.append([m])
 
 
-def schensted_insert(m: int, T: Rows) -> Rows:
-    """Row-insert m into a copy of the semistandard T (classical bumping)."""
-    out = [list(row) for row in T]
-    insert_into_rows(m, out)
-    return out
-
-
 def insertion_tableau(word) -> Rows:
     """Row-insert the letters of the word, first to last, into one tableau."""
     T: Rows = []
     for m in word:
         insert_into_rows(m, T)
     return T
-
-
-def knuth_equivalent(w1, w2) -> bool:
-    """Words are Knuth equivalent iff their insertion tableaux coincide."""
-    return insertion_tableau(w1) == insertion_tableau(w2)
 
 
 def columns_of(T: Rows) -> list[Column]:
@@ -124,11 +112,6 @@ def insert_into_columns(m: int, cols: list[Column]) -> None:
             return
         cols[x], m = col[:y] + (m,) + col[y + 1 :], col[y]
     cols.append((m,))
-
-
-def column_insert(m: int, T: Rows) -> Rows:
-    """Column-insert m into T: bump the topmost entry >= m of each column."""
-    return column_star([[m]], T)
 
 
 def column_star(C: Rows, S: Rows) -> Rows:

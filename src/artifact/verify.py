@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import accumulate
 
 from .branching import _suc_chain, staircase_flags
 from .characters import littlewood_branching, sp_dimension
 from .crystal import column_dominance_violation, wt_ghat, wt_k
-from .promotion import phi, pr, pr_inv, psi
+from .promotion import _pr_flat, _pr_inv_flat, _tables, phi, psi
 from .shapes import Partition, canonical, conjugate, enumerate_partitions, format_partition
 from .tableaux import (
     Rows,
@@ -39,33 +38,21 @@ def _tally_key(weight) -> tuple:
         return tuple(weight)
 
 
-@dataclass
-class ModelRow:
-    mu: tuple
-    g_dom: int
-    khw: int
-    klw: int
-    rec: int
-    oracle: int
+class ModelRow(namedtuple("ModelRow", "mu g_dom khw klw rec oracle")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.g_dom == self.khw == self.klw == self.rec == self.oracle
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(namedtuple(
+    "VerificationReport", "n lam rows sst_total sp_dim_sum dominant highest lowest elapsed",
+    defaults=[0.0],
+)):
     """One shape's five-model rows, dominant tableaux, and highest and lowest (T, P) pairs."""
 
-    n: int
-    lam: Partition
-    rows: list[ModelRow]
-    sst_total: int
-    sp_dim_sum: int
-    dominant: list[Rows]
-    highest: list[tuple[Rows, Rows]]
-    lowest: list[tuple[Rows, Rows]]
-    elapsed: float = 0.0
+    __slots__ = ()
 
     @property
     def dim_ok(self) -> bool:
@@ -140,10 +127,10 @@ def verify_sweep(n: int, max_size: int, budget: int | None = None) -> list[Verif
     return [verify_shape(lam, n) for lam in shapes]
 
 
-@dataclass
 class SuiteResult:
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, checked: int = 0, failures: list[str] | None = None) -> None:
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:
@@ -186,36 +173,53 @@ def bijection_suite(report: VerificationReport) -> SuiteResult:
     return out
 
 
-def _windows(n: int) -> list[tuple[int, int]]:
-    N = 2 * n
-    return [(a, b) for a in range(1, N + 1) for b in range(a, N + 1)]
-
-
 def promotion_relations(T: Rows, n: int) -> SuiteResult:
     """Roundtrips, involutivity on adjacent windows, commutation of distant
     windows, and composition of overlapping windows, on one semistandard
-    tableau.  The images of T itself under pr and pr_inv on every window are
-    computed once and shared by the four relation families."""
+    tableau, by the flat kernels.  Each image of T is computed once and
+    checked to be semistandard; an image of an image equal to T or to a
+    checked image is too, so it is checked only where its relation fails
+    (a commutation's left side always), raising as pr or pr_inv would."""
     if not validate_ssyt(T):
         raise ValueError(f"not a semistandard tableau: {T}")
+    tables = _tables(tuple(map(len, T)))
+    is_ssyt = tables[3]
+
+    def differs(U: list[int], V: list[int], name: str = "promotion") -> bool:
+        if U == V:
+            return False
+        if not is_ssyt(U):
+            raise ValueError(f"{name} broke semistandardness")
+        return True
+
     out = SuiteResult()
     N = 2 * n
-    windows = _windows(n)
-    up = {w: pr(T, *w) for w in windows}
-    down = {w: pr_inv(T, *w) for w in windows}
+    windows = [(a, b) for a in range(1, N + 1) for b in range(a, N + 1)]
+    E = [e for row in T for e in row]
+    up = {w: _pr_flat(E, tables, *w) for w in windows}
+    down = {w: _pr_inv_flat(E, tables, *w) for w in windows}
+    if not all(map(is_ssyt, up.values())):
+        raise ValueError("promotion broke semistandardness")
+    if not all(map(is_ssyt, down.values())):
+        raise ValueError("inverse promotion broke semistandardness")
     for a, b in windows:
         out.checked += 1
-        if pr(down[a, b], a, b) != T or pr_inv(up[a, b], a, b) != T:
+        if differs(_pr_flat(down[a, b], tables, a, b), E) or differs(
+            _pr_inv_flat(up[a, b], tables, a, b), E, "inverse promotion"
+        ):
             out.failures.append(f"pr roundtrip fails at {T} window ({a},{b})")
     for a in range(1, N):
         out.checked += 1
-        if pr(up[a, a + 1], a, a + 1) != T:
+        if differs(_pr_flat(up[a, a + 1], tables, a, a + 1), E):
             out.failures.append(f"pr_(a,a+1) not an involution at {T}, a={a}")
     for a, b in windows:
-        for c, d in windows:
-            if c - b >= 2:
+        for c in range(b + 2, N + 1):
+            for d in range(c, N + 1):
                 out.checked += 1
-                if pr(up[c, d], a, b) != pr(up[a, b], c, d):
+                left = _pr_flat(up[c, d], tables, a, b)
+                if not is_ssyt(left):
+                    raise ValueError("promotion broke semistandardness")
+                if differs(_pr_flat(up[a, b], tables, c, d), left):
                     out.failures.append(
                         f"distant windows ({a},{b}),({c},{d}) do not commute at {T}"
                     )
@@ -223,7 +227,7 @@ def promotion_relations(T: Rows, n: int) -> SuiteResult:
         for b in range(a, N + 1):
             for c in range(b, N + 1):
                 out.checked += 1
-                if pr(up[b, c], a, b) != up[a, c]:
+                if differs(_pr_flat(up[b, c], tables, a, b), up[a, c]):
                     out.failures.append(
                         f"composition ({a},{b})({b},{c}) != ({a},{c}) at {T}"
                     )

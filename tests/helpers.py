@@ -2,11 +2,22 @@
 
 import random
 
-from artifact import branching, characters, crystal
-from artifact.branching import _recording, _suc_chain
+from artifact import branching, characters, crystal, promotion
+from artifact.branching import _recording, _suc_chain, staircase_flags
 from artifact.characters import decompose, restricted_gl_character
 from artifact.shapes import Partition, canonical, enumerate_partitions
-from artifact.tableaux import Rows, columns_of, content, enumerate_columns, freeze, rows_of, shape
+from artifact.tableaux import (
+    Rows,
+    column_star,
+    columns_of,
+    content,
+    enumerate_columns,
+    freeze,
+    insert_into_rows,
+    insertion_tableau,
+    rows_of,
+    shape,
+)
 
 # Every module-level functools cache of the library, bound at import so
 # that the originals can be cleared while a test has monkeypatched their
@@ -17,7 +28,43 @@ SWEEP_CACHES = (
     branching._staircase_columns,
     branching._staircase_first_columns,
     crystal._dominance_step,
+    promotion._tables,
 )
+
+
+def is_k_highest(T: Rows, n: int) -> bool:
+    """True iff P has row y constantly a_y."""
+    return staircase_flags(_suc_chain(columns_of(T))[-1], n)[0]
+
+
+def is_k_lowest(T: Rows, n: int) -> bool:
+    """True iff P has row y constantly b_y."""
+    return staircase_flags(_suc_chain(columns_of(T))[-1], n)[1]
+
+
+def schensted_insert(m: int, T: Rows) -> Rows:
+    """Row-insert m into a copy of the semistandard T (classical bumping)."""
+    out = [list(row) for row in T]
+    insert_into_rows(m, out)
+    return out
+
+
+def knuth_equivalent(w1, w2) -> bool:
+    """Words are Knuth equivalent iff their insertion tableaux coincide."""
+    return insertion_tableau(w1) == insertion_tableau(w2)
+
+
+def column_insert(m: int, T: Rows) -> Rows:
+    """Column-insert m into T: bump the topmost entry >= m of each column."""
+    return column_star([[m]], T)
+
+
+def skew_row_word(cells) -> list[int]:
+    """Row word of the non-hole entries of a box dict: bottom row first,
+    left to right."""
+    entries = [(y, x, e) for (x, y), e in cells.items() if e is not None]
+    entries.sort(key=lambda t: (-t[0], t[1]))
+    return [e for _, _, e in entries]
 
 
 def count_entry(T: Rows, m: int) -> int:

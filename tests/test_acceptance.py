@@ -9,8 +9,6 @@ import time
 from itertools import combinations
 
 from artifact.branching import (
-    is_k_highest,
-    is_k_lowest,
     n2_condition_khw,
     n2_condition_klw,
     n2_family_dominant,
@@ -42,14 +40,12 @@ from artifact.promotion import (
     psi_factors,
     rect,
     res,
-    skew_row_word,
 )
 from artifact.shapes import enumerate_partitions
 from artifact.tableaux import (
     column_star,
     enumerate_ssyt,
     insertion_tableau,
-    knuth_equivalent,
     row_word,
     shape,
     validate_ssyt,
@@ -63,7 +59,14 @@ from artifact.verify import (
     verify_shape,
     verify_sweep,
 )
-from helpers import column_to_rows, random_shape
+from helpers import (
+    column_to_rows,
+    is_k_highest,
+    is_k_lowest,
+    knuth_equivalent,
+    random_shape,
+    skew_row_word,
+)
 
 
 def _report(num, ok, detail):

@@ -1,5 +1,5 @@
-"""The library names that the benchmark's tracer wraps must exist, and
-the library imports only the standard library.
+"""The library names that the benchmark's tracer wraps must exist, the
+library imports only the standard library, and its start-up stays light.
 
 bench/tracer.py rebinds each function named in its LAYERS table by a
 timing wrapper and fails with AttributeError when one is missing.  This
@@ -10,6 +10,8 @@ benchmark.
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,3 +59,15 @@ def test_the_library_imports_only_the_standard_library():
                 if top not in sys.stdlib_module_names and top != "artifact"
             ]
     assert not foreign, foreign
+
+
+def test_the_command_line_starts_without_heavy_standard_modules():
+    # The benchmark times `python -S -c "import artifact.cli"`: these three
+    # took about 20 ms of its 70-110 ms on a 2-vCPU host, for no use.
+    heavy = "{'dataclasses', 'typing', 'inspect'}"
+    code = f"import artifact.cli, sys; print(*sorted({heavy} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    command = [sys.executable, "-S", "-c", code]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

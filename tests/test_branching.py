@@ -10,8 +10,6 @@ from artifact import branching
 from artifact.branching import (
     a_staircase,
     b_staircase,
-    is_k_highest,
-    is_k_lowest,
     n2_condition_khw,
     n2_condition_klw,
     n2_family_dominant,
@@ -29,7 +27,6 @@ from artifact.branching import (
 from artifact.crystal import ab_sequences, is_ghat_dominant
 from artifact.shapes import enumerate_partitions
 from artifact.tableaux import (
-    column_insert,
     columns_of,
     enumerate_columns,
     enumerate_spt,
@@ -41,8 +38,11 @@ from artifact.tableaux import (
 from artifact.verify import random_ssyt, verify_sweep
 from helpers import (
     branching_multiplicity,
+    column_insert,
     column_to_rows,
     first_column,
+    is_k_highest,
+    is_k_lowest,
     is_symplectic,
     lr_aii_partition,
     rest_columns,

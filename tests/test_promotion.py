@@ -1,12 +1,12 @@
 """Jeu de taquin, rectification, restriction, and window promotion."""
 
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact import verify
+from artifact import promotion, verify
 from artifact.promotion import (
     cells_from_rows,
     jdt_slide,
@@ -21,12 +21,11 @@ from artifact.promotion import (
     res_via_promotion,
     restrict,
     rows_from_cells,
-    skew_row_word,
 )
 from artifact.shapes import enumerate_partitions
 from artifact.tableaux import enumerate_ssyt, insertion_tableau, row_word, validate_ssyt
 from artifact.verify import random_ssyt
-from helpers import random_shape
+from helpers import random_shape, skew_row_word
 
 
 def test_cells_rows_roundtrip():
@@ -306,20 +305,59 @@ def test_promotion_relations_reject_non_semistandard_input():
 
 def test_promotion_relations_catch_a_faulty_pr(monkeypatch):
     # A memo of the first-level images must leave every relation family
-    # evaluated on real values: a pr that is wrong on the one window (1, 2)
-    # has to trip all four, with the check count unchanged.
+    # evaluated on real values: a kernel that is wrong on the one window
+    # (1, 2) has to trip all four, with the check count unchanged.
     T = [[1, 2, 3], [2, 4], [5]]
     good = verify.promotion_relations(T, 3)
     assert good.passed and good.checked == 117
+    kernel = verify._pr_flat
 
-    def faulty_pr(U, a, b):
-        return pr(U, 1, 5) if (a, b) == (1, 2) else pr(U, a, b)
+    def faulty_pr(E, tables, a, b):
+        return kernel(E, tables, 1, 5) if (a, b) == (1, 2) else kernel(E, tables, a, b)
 
-    monkeypatch.setattr(verify, "pr", faulty_pr)
+    monkeypatch.setattr(verify, "_pr_flat", faulty_pr)
     bad = verify.promotion_relations(T, 3)
     assert bad.checked == 117
     for kind in ("pr roundtrip fails", "not an involution", "do not commute", "composition"):
         assert any(kind in failure for failure in bad.failures), kind
+
+
+@pytest.mark.parametrize(
+    "source, window",
+    [(None, (1, 2)), ((4, 6), (1, 2)), ((2, 6), (1, 2))],
+    ids=["first-level", "commutation", "composition"],
+)
+def test_promotion_relations_check_the_images(monkeypatch, source, window):
+    """A kernel whose image, on window, of T (source None) or of T's pr image
+    on source is all zeros.  Only the first level, resp. the commutation
+    (c - b >= 2) or the composition family, computes that image, and the
+    suite must raise as pr would."""
+    T = [[1, 2, 3], [2, 4], [5]]
+    E = [1, 2, 3, 2, 4, 5]
+    kernel = verify._pr_flat
+    tables = promotion._tables((3, 2, 1))
+    target = E if source is None else kernel(E, tables, *source)
+    windows = list(combinations_with_replacement(range(1, 7), 2))
+    images = [f(E, tables, *w) for f in (kernel, verify._pr_inv_flat) for w in windows]
+    assert source is None or images.count(target) == 1
+
+    def faulty_pr(U, tables, a, b):
+        return [0] * len(U) if (U, (a, b)) == (target, window) else kernel(U, tables, a, b)
+
+    monkeypatch.setattr(verify, "_pr_flat", faulty_pr)
+    with pytest.raises(ValueError, match="^promotion broke semistandardness$"):
+        verify.promotion_relations(T, 3)
+
+
+def test_the_per_shape_check_is_validate_ssyt():
+    checked = 0
+    for lam in enumerate_partitions(5, 5):
+        _, _, spans, is_ssyt = promotion._tables(lam)
+        for E in product(range(5), repeat=sum(lam)):
+            E = list(E)
+            assert is_ssyt(E) == validate_ssyt([E[s:t] for s, t in spans]), (lam, E)
+            checked += 1
+    assert checked == 25431
 
 
 def test_adjacent_travelers_regression():

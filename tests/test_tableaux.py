@@ -9,7 +9,6 @@ from operator import le
 
 from artifact.shapes import canonical, conjugate, enumerate_partitions
 from artifact.tableaux import (
-    column_insert,
     column_star,
     columns_of,
     content,
@@ -19,20 +18,21 @@ from artifact.tableaux import (
     enumerate_ssyt,
     freeze,
     insertion_tableau,
-    knuth_equivalent,
     row_word,
     rows_of,
-    schensted_insert,
     shape,
     validate_ssyt,
 )
 from helpers import (
+    column_insert,
     column_to_rows,
     count_entry,
     first_column,
     inverse_column_word,
     is_symplectic,
+    knuth_equivalent,
     rest_columns,
+    schensted_insert,
 )
 
 

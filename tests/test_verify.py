@@ -9,7 +9,7 @@ import random
 import pytest
 
 from artifact import characters, tableaux, verify
-from artifact.branching import is_k_highest, is_k_lowest, p_aii
+from artifact.branching import p_aii
 from artifact.crystal import is_ghat_dominant
 from artifact.cli import EXIT_FAIL, main
 from artifact.shapes import enumerate_partitions
@@ -23,7 +23,7 @@ from artifact.verify import (
     verify_shape,
     verify_sweep,
 )
-from helpers import random_shape
+from helpers import is_k_highest, is_k_lowest, random_shape
 
 
 @pytest.mark.parametrize("n, max_size", [(2, 6), (3, 4)])
