@@ -18,7 +18,7 @@ from .crystal import (
     tableau_f_max,
     tableau_phi,
 )
-from .shapes import Partition, part
+from .shapes import Partition, conjugate, part
 from .tableaux import (
     Column,
     Rows,
@@ -100,16 +100,21 @@ def _recording(chain: list[list[Column]]) -> dict[tuple[int, int], int]:
     return Q
 
 
+def _staircase(mu: Partition, n: int, side: int) -> Rows:
+    """The a- (side 0) or b-staircase (side 1) of shape mu, as rows."""
+    if len(mu) > n:
+        raise ValueError(f"mu has more than {n} rows")
+    return rows_of(_staircase_columns(conjugate(mu), n)[side])
+
+
 def a_staircase(mu: Partition, n: int) -> Rows:
     """Tableau of shape mu with row y filled with a_y."""
-    a, _ = ab_sequences(n)
-    return [[a[y - 1]] * part(mu, y) for y in range(1, len(mu) + 1)]
+    return _staircase(mu, n, 0)
 
 
 def b_staircase(mu: Partition, n: int) -> Rows:
     """Tableau of shape mu with row y filled with b_y."""
-    _, b = ab_sequences(n)
-    return [[b[y - 1]] * part(mu, y) for y in range(1, len(mu) + 1)]
+    return _staircase(mu, n, 1)
 
 
 @cache

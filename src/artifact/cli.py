@@ -20,7 +20,7 @@ from .crystal import (
     wt_ghat,
     wt_k,
 )
-from .promotion import phi_factors, pr, psi_factors
+from .promotion import phi_factors, pr_images, psi_factors
 from .shapes import format_partition, parse_partition
 from .tableaux import Rows, columns_of, rows_of, validate_ssyt
 from .verify import (
@@ -41,7 +41,15 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-TABLE_HEADER = "lambda\tmu\tmult\tg_dominant\tk_highest\tk_lowest\trecording\tstatus"
+# The five counts of a report row: (table column, JSON key, ModelRow field).
+ROW_COUNTS = (
+    ("mult", "oracle", "oracle"),
+    ("g_dominant", "g_dominant", "g_dom"),
+    ("k_highest", "k_highest", "khw"),
+    ("k_lowest", "k_lowest", "klw"),
+    ("recording", "recording", "rec"),
+)
+TABLE_HEADER = "\t".join(["lambda", "mu", *(column for column, _, _ in ROW_COUNTS), "status"])
 
 
 class UsageError(Exception):
@@ -62,6 +70,13 @@ def parse_tableau(text: str) -> Rows:
     return rows
 
 
+def _tableau_arg(args) -> Rows:
+    T = parse_tableau(args.tableau)
+    if any(e > 2 * args.n for row in T for e in row):
+        raise UsageError(f"entries exceed {2 * args.n}")
+    return T
+
+
 def format_tableau(T: Rows) -> str:
     return ";".join(",".join(str(e) for e in row) for row in T)
 
@@ -77,25 +92,12 @@ def _mu_text(mu) -> str:
 
 
 def _report_lines(report: VerificationReport) -> list[str]:
-    lines = []
     lam_text = format_partition(report.lam)
-    for row in report.rows:
-        status = "ok" if row.ok else "MISMATCH"
-        lines.append(
-            "\t".join(
-                [
-                    lam_text,
-                    _mu_text(row.mu),
-                    str(row.oracle),
-                    str(row.g_dom),
-                    str(row.khw),
-                    str(row.klw),
-                    str(row.rec),
-                    status,
-                ]
-            )
-        )
-    return lines
+    return [
+        "\t".join([lam_text, _mu_text(row.mu), *(str(getattr(row, f)) for _, _, f in ROW_COUNTS)])
+        + ("\tok" if row.ok else "\tMISMATCH")
+        for row in report.rows
+    ]
 
 
 def _report_dict(report: VerificationReport) -> dict:
@@ -103,15 +105,7 @@ def _report_dict(report: VerificationReport) -> dict:
         "n": report.n,
         "lambda": list(report.lam),
         "rows": [
-            {
-                "mu": list(row.mu),
-                "oracle": row.oracle,
-                "g_dominant": row.g_dom,
-                "k_highest": row.khw,
-                "k_lowest": row.klw,
-                "recording": row.rec,
-                "ok": row.ok,
-            }
+            dict(mu=list(row.mu), ok=row.ok, **{key: getattr(row, f) for _, key, f in ROW_COUNTS})
             for row in report.rows
         ],
         "sst_total": report.sst_total,
@@ -139,9 +133,7 @@ def cmd_branch(args) -> int:
     if args.json:
         print(json.dumps(_report_dict(report), sort_keys=True))
     else:
-        print(TABLE_HEADER)
-        for line in _report_lines(report):
-            print(line)
+        print(TABLE_HEADER, *_report_lines(report), sep="\n")
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -169,10 +161,7 @@ def cmd_verify(args) -> int:
         }
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(TABLE_HEADER)
-        for report in reports:
-            for line in _report_lines(report):
-                print(line)
+        print(TABLE_HEADER, *(line for r in reports for line in _report_lines(r)), sep="\n")
         bad_dim = [r for r in reports if not r.dim_ok]
         print(f"shapes checked\t{len(reports)}")
         print(f"dimension identity\t{'ok' if not bad_dim else 'MISMATCH'}")
@@ -184,10 +173,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_show(args) -> int:
-    T = parse_tableau(args.tableau)
+    T = _tableau_arg(args)
     n = args.n
-    if any(e > 2 * n for row in T for e in row):
-        raise UsageError(f"entries exceed {2 * n}")
     cols = columns_of(T)
     chain = _suc_chain(cols)
     P, Q = rows_of(chain[-1]), _recording(chain)
@@ -237,28 +224,19 @@ def cmd_bijection(args) -> int:
     factors = {"phi": phi_factors(n), "psi": psi_factors(n)}
     trace: dict[str, list] = {}
     if args.tableau is not None:
-        T = parse_tableau(args.tableau)
-        if any(e > 2 * n for row in T for e in row):
-            raise UsageError(f"entries exceed {2 * n}")
-        for name, seq in factors.items():
-            steps = []
-            current = T
-            for a, b in seq:
-                current = pr(current, a, b)
-                steps.append({"window": [a, b], "result": current})
-            trace[name] = steps
+        T = _tableau_arg(args)
+        for name, windows in factors.items():
+            images = pr_images(T, windows)[1:]
+            trace[name] = [{"window": [a, b], "result": U} for (a, b), U in zip(windows, images)]
     if args.json:
-        payload = {
-            "n": n,
-            "phi_factors": [list(w) for w in factors["phi"]],
-            "psi_factors": [list(w) for w in factors["psi"]],
-        }
+        payload = {f"{name}_factors": [list(w) for w in ws] for name, ws in factors.items()}
+        payload["n"] = n
         if trace:
             payload["trace"] = trace
         print(json.dumps(payload, sort_keys=True))
         return EXIT_PASS
-    for name in ("phi", "psi"):
-        seq = " ".join(f"pr[{a},{b}]" for a, b in reversed(factors[name]))
+    for name, windows in factors.items():
+        seq = " ".join(f"pr[{a},{b}]" for a, b in reversed(windows))
         print(f"{name} (n={n}): {seq if seq else 'id'}  (rightmost factor applies first)")
     for name, steps in trace.items():
         print(f"{name} trace:")
@@ -274,32 +252,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Branching tables, batch verification, and tableau inspection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--n", type=int, required=True)
+    common.add_argument("--json", action="store_true")
+    budgeted = argparse.ArgumentParser(add_help=False, parents=[common])
+    budgeted.add_argument("--budget", type=int, default=None, help="cap on enumerated tableaux")
 
-    branch = sub.add_parser("branch", help="decompose one shape into symplectic classes")
-    branch.add_argument("--n", type=int, required=True)
+    branch = sub.add_parser(
+        "branch", parents=[budgeted], help="decompose one shape into symplectic classes"
+    )
     branch.add_argument("--lambda", dest="lam", required=True, help='partition, e.g. "2,1"')
-    branch.add_argument("--budget", type=int, default=None, help="cap on enumerated tableaux")
-    branch.add_argument("--json", action="store_true")
     branch.set_defaults(func=cmd_branch)
 
-    ver = sub.add_parser("verify", help="sweep all shapes up to a size bound")
-    ver.add_argument("--n", type=int, required=True)
+    ver = sub.add_parser("verify", parents=[budgeted], help="sweep all shapes up to a size bound")
     ver.add_argument("--max-size", type=int, required=True)
-    ver.add_argument("--budget", type=int, default=None, help="cap on enumerated tableaux")
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--json", action="store_true")
     ver.set_defaults(func=cmd_verify)
 
-    show = sub.add_parser("show", help="inspect one tableau")
-    show.add_argument("--n", type=int, required=True)
+    show = sub.add_parser("show", parents=[common], help="inspect one tableau")
     show.add_argument("--tableau", required=True, help='rows, e.g. "1,2;2,3;4"')
-    show.add_argument("--json", action="store_true")
     show.set_defaults(func=cmd_show)
 
-    bij = sub.add_parser("bijection", help="print the phi/psi promotion factors")
-    bij.add_argument("--n", type=int, required=True)
+    bij = sub.add_parser("bijection", parents=[common], help="print the phi/psi promotion factors")
     bij.add_argument("--tableau", default=None, help="optional tableau to trace")
-    bij.add_argument("--json", action="store_true")
     bij.set_defaults(func=cmd_bijection)
     return parser
 

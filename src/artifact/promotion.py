@@ -114,6 +114,8 @@ def res(T: Rows, a: int, b: int, c: int, d: int) -> Rows:
     slide out by decreasing entry, rightmost first among equals, so no hole
     is left to the right of or below the one sliding.
     """
+    if not validate_ssyt(T):
+        raise ValueError(f"not a semistandard tableau: {T}")
     cells = restrict(T, a, b, c, d)
     holes = {box: e for box, e in cells_from_rows(T).items() if e < a or b < e < c}
     cells.update(dict.fromkeys(holes))
@@ -206,65 +208,68 @@ def _pr_inv_flat(E: list[int], tables: tuple, a: int, b: int) -> list[int]:
     return [e if w == out else w for w, e in zip(W, E)]
 
 
-def _on_rows(kernel, T: Rows, a: int, b: int, name: str) -> Rows:
-    """The kernel's image of T on the window [a, b], as rows; ValueError
-    unless 1 <= a <= b and, for a < b, the image is semistandard."""
-    if not 1 <= a <= b:
-        raise ValueError(f"promotion window [{a}, {b}] needs 1 <= a <= b")
+def _on_rows(kernel, T: Rows, windows: list[tuple[int, int]], name: str) -> list[Rows]:
+    """T, then the kernel's image after each window [a, b] in turn, as rows;
+    ValueError unless T is semistandard, each window has 1 <= a <= b and
+    each image passes the shape's own semistandard test."""
+    if not validate_ssyt(T):
+        raise ValueError(f"not a semistandard tableau: {T}")
     tables = _tables(tuple(map(len, T)))
-    E = kernel([e for row in T for e in row], tables, a, b)
-    U = [E[s:t] for s, t in tables[2]]
-    if a != b and not validate_ssyt(U):
-        raise ValueError(f"{name} broke semistandardness")
-    return U
+    E = [e for row in T for e in row]
+    images = [T]
+    for a, b in windows:
+        if not 1 <= a <= b:
+            raise ValueError(f"promotion window [{a}, {b}] needs 1 <= a <= b")
+        E = kernel(E, tables, a, b)
+        if not tables[3](E):
+            raise ValueError(f"{name} broke semistandardness")
+        images.append([E[s:t] for s, t in tables[2]])
+    return images
 
 
 def pr_inv(T: Rows, a: int, b: int) -> Rows:
     """Inverse promotion on the letter window [a, b] (see _pr_inv_flat); T
     must be semistandard."""
-    return _on_rows(_pr_inv_flat, T, a, b, "inverse promotion")
+    return _on_rows(_pr_inv_flat, T, [(a, b)], "inverse promotion")[1]
 
 
 def pr(T: Rows, a: int, b: int) -> Rows:
     """Promotion on the letter window [a, b] (see _pr_flat); two-sided
     inverse of pr_inv.  T must be semistandard."""
-    return _on_rows(_pr_flat, T, a, b, "promotion")
+    return _on_rows(_pr_flat, T, [(a, b)], "promotion")[1]
+
+
+def pr_images(T: Rows, windows: list[tuple[int, int]]) -> list[Rows]:
+    """T, then its image under pr on each window in turn: the composite's
+    partial products.  T must be semistandard, also with no window."""
+    return _on_rows(_pr_flat, T, windows, "promotion")
+
+
+def _factors(n: int, p: int) -> list[tuple[int, int]]:
+    """The windows (k + (k + p) % 2, 2n - k + 1) for k = n, ..., 1, in
+    application order, but for the empty window (n + 1, n + 1) that k = n
+    gives when n + p is odd."""
+    return [(k + (k + p) % 2, 2 * n - k + 1) for k in range(n - (n + p) % 2, 0, -1)]
 
 
 def phi_factors(n: int) -> list[tuple[int, int]]:
     """Window sequence for phi, in application order (first applied first)."""
-    factors: list[tuple[int, int]] = []
-    if n % 2 == 1:
-        factors.append((n, n + 1))
-    for k in range(n - 1, 0, -1):
-        bar = 2 * n - k + 1
-        factors.append((k + 1, bar) if k % 2 == 0 else (k, bar))
-    return factors
+    return _factors(n, 1)
 
 
 def psi_factors(n: int) -> list[tuple[int, int]]:
     """Window sequence for psi, in application order."""
-    factors: list[tuple[int, int]] = []
-    if n % 2 == 0:
-        factors.append((n, n + 1))
-    for k in range(n - 1, 0, -1):
-        bar = 2 * n - k + 1
-        factors.append((k, bar) if k % 2 == 0 else (k + 1, bar))
-    return factors
+    return _factors(n, 0)
 
 
 def phi(T: Rows, n: int) -> Rows:
     """The composite promotion carrying dominant tableaux to highest ones."""
-    for a, b in phi_factors(n):
-        T = pr(T, a, b)
-    return T
+    return pr_images(T, phi_factors(n))[-1]
 
 
 def psi(T: Rows, n: int) -> Rows:
     """The composite promotion carrying dominant tableaux to lowest ones."""
-    for a, b in psi_factors(n):
-        T = pr(T, a, b)
-    return T
+    return pr_images(T, psi_factors(n))[-1]
 
 
 def res_via_promotion(T: Rows, a: int, b: int, c: int, d: int) -> Rows:
@@ -277,10 +282,8 @@ def res_via_promotion(T: Rows, a: int, b: int, c: int, d: int) -> Rows:
         raise ValueError(f"bands [{a}, {b}] and [{c}, {d}] need c > b")
     if any(e < a for row in T for e in row):
         raise ValueError("entries below the lower band")
-    U = [list(row) for row in T]
-    for k in range(1, c - b):
-        U = pr_inv(U, c - k, d - k + 1)
+    windows = [(c - k, d - k + 1) for k in range(1, c - b)]
+    U = _on_rows(_pr_inv_flat, T, windows, "inverse promotion")[-1]
     top = b + 1 + d - c
-    kept = restrict(U, a, top, top, top)
-    rows = rows_from_cells(kept)
-    return [[e + (c - b - 1) if e > b else e for e in row] for row in rows]
+    rows = [[e + (c - b - 1) if e > b else e for e in row if e <= top] for row in U]
+    return [row for row in rows if row]

@@ -240,6 +240,17 @@ def test_staircases():
     assert b_staircase((2, 1), 2) == [[1, 1], [4]]
     assert a_staircase((1, 1, 1), 3) == [[2], [3], [6]]
     assert b_staircase((1, 1, 1), 3) == [[1], [4], [5]]
+    assert a_staircase((), 2) == b_staircase((), 2) == []
+
+
+def test_staircases_reject_more_than_n_rows():
+    # The cached columns are cut to n entries, so without a check the rows
+    # would silently lose the rows below n.
+    for staircase in (a_staircase, b_staircase):
+        with pytest.raises(ValueError, match="^mu has more than 2 rows$"):
+            staircase((1, 1, 1), 2)
+        with pytest.raises(ValueError, match="^mu has more than 1 rows$"):
+            staircase((2, 1), 1)
 
 
 def test_staircase_flags_match_staircases():

@@ -1,5 +1,6 @@
 """Exit codes, output formats, and determinism of the command line."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -19,6 +20,7 @@ from artifact.cli import (
     main,
     parse_tableau,
 )
+from artifact.promotion import pr
 from artifact.tableaux import count_ssyt
 
 
@@ -286,6 +288,58 @@ def test_bijection_trace(capsys):
     payload = json.loads(capsys.readouterr().out)
     steps = payload["trace"]["phi"]
     assert steps[-1]["result"] == [[1, 2], [2, 3], [4]]
+    # Each step is pr of the step before it, on that step's window.
+    for name in ("phi", "psi"):
+        steps = payload["trace"][name]
+        assert [step["window"] for step in steps] == payload[f"{name}_factors"]
+        previous = [[1, 1], [2, 6], [5]]
+        for step in steps:
+            assert step["result"] == pr(previous, *step["window"]), (name, step)
+            previous = step["result"]
+
+
+def test_the_table_header_is_pinned():
+    assert cli.TABLE_HEADER == (
+        "lambda\tmu\tmult\tg_dominant\tk_highest\tk_lowest\trecording\tstatus"
+    )
+
+
+def test_the_option_surface_is_pinned():
+    """Each subcommand's options with their dest, required flag, default and
+    type, in sorted order: sharing declarations between subcommands must not
+    drop, add or re-default one."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: sorted(
+            (a.option_strings, a.dest, a.required, a.default, getattr(a.type, "__name__", None))
+            for a in command._actions
+        )
+        for name, command in sub.choices.items()
+    }
+    n = (["--n"], "n", True, None, "int")
+    json_flag = (["--json"], "json", False, False, None)
+    budget = (["--budget"], "budget", False, None, "int")
+    help_flag = (["-h", "--help"], "help", False, argparse.SUPPRESS, None)
+    assert surface == {
+        "branch": [budget, json_flag, (["--lambda"], "lam", True, None, None), n, help_flag],
+        "verify": [
+            budget,
+            json_flag,
+            (["--max-size"], "max_size", True, None, "int"),
+            n,
+            (["--seed"], "seed", False, 0, "int"),
+            help_flag,
+        ],
+        "show": [json_flag, n, (["--tableau"], "tableau", True, None, None), help_flag],
+        "bijection": [json_flag, n, (["--tableau"], "tableau", False, None, None), help_flag],
+    }
+    assert {name: command.get_default("func") for name, command in sub.choices.items()} == {
+        "branch": cli.cmd_branch,
+        "verify": cli.cmd_verify,
+        "show": cli.cmd_show,
+        "bijection": cli.cmd_bijection,
+    }
 
 
 def test_usage_errors(capsys):

@@ -13,6 +13,7 @@ from artifact.promotion import (
     phi,
     phi_factors,
     pr,
+    pr_images,
     pr_inv,
     psi,
     psi_factors,
@@ -297,6 +298,23 @@ def test_promotion_of_a_ragged_grid_raises_value_error():
             op([[1], [1, 2]], 1, 2)
 
 
+@pytest.mark.parametrize("T", [[[2, 1]], [[1], [1]], [[1], [1, 2]]], ids=["row", "column", "ragged"])
+def test_promotion_checks_its_input(T):
+    """Each entry point rejects a non-semistandard T before any kernel runs,
+    psi(T, 1) too, whose window list is empty."""
+    calls = [
+        (pr, (1, 2)),
+        (pr_inv, (1, 2)),
+        (res, (1, 2, 2, 2)),
+        (phi, (1,)),
+        (psi, (1,)),
+        (res_via_promotion, (1, 1, 2, 2)),
+    ]
+    for op, args in calls:
+        with pytest.raises(ValueError, match=r"^not a semistandard tableau: \["):
+            op(T, *args)
+
+
 def test_promotion_relations_reject_non_semistandard_input():
     for T in ([[2, 1]], [[1], [1]], [[1], [2, 3]]):
         with pytest.raises(ValueError, match="not a semistandard tableau"):
@@ -418,6 +436,46 @@ def test_factor_sequences():
     assert psi_factors(2) == [(2, 3), (2, 4)]
     assert phi_factors(3) == [(3, 4), (3, 5), (1, 6)]
     assert psi_factors(3) == [(2, 5), (2, 6)]
+
+
+def _phi_factors_reference(n):
+    """The former phi_factors loop."""
+    factors = []
+    if n % 2 == 1:
+        factors.append((n, n + 1))
+    for k in range(n - 1, 0, -1):
+        bar = 2 * n - k + 1
+        factors.append((k + 1, bar) if k % 2 == 0 else (k, bar))
+    return factors
+
+
+def _psi_factors_reference(n):
+    """The former psi_factors loop."""
+    factors = []
+    if n % 2 == 0:
+        factors.append((n, n + 1))
+    for k in range(n - 1, 0, -1):
+        bar = 2 * n - k + 1
+        factors.append((k, bar) if k % 2 == 0 else (k + 1, bar))
+    return factors
+
+
+def test_factor_sequences_match_their_former_loops():
+    for n in range(1, 11):
+        assert phi_factors(n) == _phi_factors_reference(n), n
+        assert psi_factors(n) == _psi_factors_reference(n), n
+
+
+def test_pr_images_are_the_partial_composites():
+    rng = random.Random(37)
+    for _ in range(40):
+        T = random_ssyt(random_shape(8, 6, rng), 6, rng)
+        for windows in (phi_factors(3), psi_factors(3), [(2, 2), (1, 6), (4, 5)], []):
+            images = pr_images(T, windows)
+            assert images[0] == T and len(images) == len(windows) + 1
+            for (a, b), before, after in zip(windows, images, images[1:]):
+                assert after == pr(before, a, b)
+        assert phi(T, 3) == pr_images(T, phi_factors(3))[-1]
 
 
 def test_phi_golden_rank3():
