@@ -56,14 +56,21 @@ def red(C: Rows) -> Rows:
     return [[e] for e in _reduced(single_column(C))]
 
 
+def _reinserted(col: Column) -> Column | None:
+    """What suc column-inserts back from a first column col: col without its
+    removable entries, or None when nothing is removable.  Then suc(T) =
+    C * rest = T for every T with first column col: T is its own P."""
+    kept = _reduced(col)
+    return None if len(kept) == len(col) else kept
+
+
 def _suc_chain(cols: list[Column]) -> list[list[Column]]:
     """The suc orbit of semistandard columns, unchecked: [T, suc(T), ..., P]
     up to the first fixed point P; RuntimeError if P takes more than
     |T| + 1 steps."""
     chain = [cols]
     for _ in range(sum(map(len, cols)) + 2):
-        # With nothing removable, suc(T) = C * rest = T: the fixed point.
-        if not cols or len(kept := _reduced(cols[0])) == len(cols[0]):
+        if not cols or (kept := _reinserted(cols[0])) is None:
             return chain
         cols = cols[1:]
         for m in kept:

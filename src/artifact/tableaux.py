@@ -129,22 +129,38 @@ def column_star(C: Rows, S: Rows) -> Rows:
 def enumerate_columns(lam: Partition, m: int) -> Iterator[list[Column]]:
     """All semistandard tableaux of shape lam over [1, m] as column lists, a
     chain of strictly increasing tuples each row-wise >= its left neighbour,
-    in lexicographic order of the column reading sequence."""
+    in lexicographic order of the column reading sequence.  A depth-first
+    walk on an explicit stack, so a shape may have any number of columns."""
     lengths = conjugate(canonical(lam))
+    if not lengths:
+        yield []
+        return
 
     @cache
     def after(left: Column, k: int) -> list[Column]:
         return [col for col in combinations(range(1, m + 1), k) if all(map(le, left, col))]
 
-    def chain(prefix: list[Column]) -> Iterator[list[Column]]:
-        cols = after(prefix[-1] if prefix else (), lengths[len(prefix)])
-        if len(prefix) + 1 == len(lengths):  # the last column: no leaf generators
-            yield from [prefix + [col] for col in cols]
+    last = len(lengths) - 1
+    prefix: list[Column] = []
+    cands = after((), lengths[0])  # the candidates for column len(prefix)
+    levels: list = []  # (the candidates left for column x, x)
+    while True:
+        # A column with one candidate is no branch point: take it and go on.
+        while len(cands) == 1 and len(prefix) < last:
+            prefix.append(cands[0])
+            cands = after(cands[0], lengths[len(prefix)])
+        if len(prefix) == last:  # the last column: finish the lists at once
+            yield from [prefix + [col] for col in cands]
         else:
-            for col in cols:
-                yield from chain(prefix + [col])
-
-    return chain([]) if lengths else iter([[]])
+            levels.append((iter(cands), len(prefix)))
+        while levels and (col := next(levels[-1][0], None)) is None:
+            levels.pop()
+        if not levels:
+            return
+        x = levels[-1][1]
+        del prefix[x:]
+        prefix.append(col)
+        cands = after(col, lengths[x + 1])
 
 
 def enumerate_ssyt(lam: Partition, m: int) -> Iterator[Rows]:

@@ -9,9 +9,9 @@ import time
 from collections import Counter, namedtuple
 from itertools import accumulate
 
-from .branching import _suc_chain, staircase_flags
+from .branching import _reinserted, _staircase_first_columns, _suc_chain, staircase_flags
 from .characters import littlewood_branching, sp_dimension
-from .crystal import column_dominance_violation, wt_ghat, wt_k
+from .crystal import dominant_columns, wt_ghat, wt_k
 from .promotion import _pr_flat, _pr_inv_flat, _tables, phi, psi
 from .shapes import Partition, canonical, conjugate, enumerate_partitions, format_partition
 from .tableaux import (
@@ -65,16 +65,27 @@ class VerificationReport(namedtuple(
 
 
 def verify_shape(lam: Partition, n: int) -> VerificationReport:
-    """Classify the columns of each tableau of shape lam once, count the classes
-    per mu and compare with the character oracle; only kept tableaux get rows."""
+    """Classify each tableau of shape lam once, count the classes per mu and
+    compare with the character oracle; only kept tableaux get rows.  The
+    dominant tableaux come from their own pruned search.  The walk yields
+    the tableaux in runs with one first column, and P is decided once per
+    run: with nothing removable from that column, each tableau of the run is
+    its own P, and none is highest or lowest unless the column is a
+    staircase first column."""
     start = time.perf_counter()
-    dominant, highest, lowest = [], [], []
+    dominant = [rows_of(cols) for cols in dominant_columns(lam, n)]
+    highest, lowest = [], []
     total = 0
+    first, fixed, skip = None, False, False
     for cols in enumerate_columns(lam, 2 * n):
         total += 1
-        if column_dominance_violation(cols, n) is None:
-            dominant.append(rows_of(cols))
-        P = _suc_chain(cols)[-1]
+        if cols and cols[0] is not first:  # a new run: its tableaux share one tuple
+            first = cols[0]
+            fixed = _reinserted(first) is None
+            skip = fixed and first not in _staircase_first_columns(n)
+        if skip:
+            continue
+        P = cols if fixed else _suc_chain(cols)[-1]
         is_highest, is_lowest = staircase_flags(P, n)
         if is_highest:
             highest.append((rows_of(cols), rows_of(P)))

@@ -1,10 +1,17 @@
 """Tableau and shape helpers that only the tests use."""
 
 import random
+from collections import Counter
 
 from artifact import branching, characters, crystal, promotion
 from artifact.branching import _recording, _suc_chain, staircase_flags
-from artifact.characters import decompose, restricted_gl_character
+from artifact.characters import (
+    decompose,
+    littlewood_branching,
+    restricted_gl_character,
+    sp_dimension,
+)
+from artifact.crystal import column_dominance_violation, wt_ghat, wt_k
 from artifact.shapes import Partition, canonical, enumerate_partitions
 from artifact.tableaux import (
     Rows,
@@ -18,6 +25,7 @@ from artifact.tableaux import (
     rows_of,
     shape,
 )
+from artifact.verify import ModelRow, VerificationReport, _tally_key
 
 # Every module-level functools cache of the library, bound at import so
 # that the originals can be cleared while a test has monkeypatched their
@@ -135,3 +143,31 @@ def random_shape(max_size: int, max_length: int, rng: random.Random) -> Partitio
     """One shape drawn uniformly from enumerate_partitions(max_size, max_length)."""
     shapes = enumerate_partitions(max_size, max_length)
     return shapes[rng.randrange(len(shapes))]
+
+
+def verify_shape_reference(lam: Partition, n: int) -> VerificationReport:
+    """The former body of verify.verify_shape: one dominance test and one suc
+    chain per tableau, on the one walk of enumerate_columns; elapsed is 0."""
+    dominant, highest, lowest = [], [], []
+    total = 0
+    for cols in enumerate_columns(lam, 2 * n):
+        total += 1
+        if column_dominance_violation(cols, n) is None:
+            dominant.append(rows_of(cols))
+        P = _suc_chain(cols)[-1]
+        is_highest, is_lowest = staircase_flags(P, n)
+        if is_highest:
+            highest.append((rows_of(cols), rows_of(P)))
+        if is_lowest:
+            lowest.append((rows_of(cols), rows_of(P)))
+    oracle = littlewood_branching(lam, n)
+    tallies = [
+        Counter(_tally_key(wt_ghat(T, n)) for T in dominant),
+        Counter(_tally_key(wt_k(T, n)) for T, _ in highest),
+        Counter(shape(P) for _, P in lowest),
+        Counter(shape(P) for _, P in highest),
+        Counter(oracle),
+    ]
+    rows = [ModelRow(mu, *(tally[mu] for tally in tallies)) for mu in sorted(set().union(*tallies))]
+    sp_dim_sum = sum(m * sp_dimension(mu, n) for mu, m in oracle.items())
+    return VerificationReport(n, lam, rows, total, sp_dim_sum, dominant, highest, lowest)

@@ -61,6 +61,16 @@ def test_branch_json(capsys):
     assert got == {(): 1, (1, 1): 1, (2, 2): 1}
 
 
+def test_branch_takes_a_shape_of_any_width(capsys, time_bound):
+    """The walk over the columns and the dominant search keep their paths on
+    stacks, so a one-row shape of 3000 boxes (3001 tableaux) nests no frames."""
+    time_bound(30)
+    assert main(["branch", "--n", "1", "--lambda", "3000", "--json"]) == EXIT_PASS
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["sst_total"] == 3001
+    assert payload["passed"] is True
+
+
 def test_branch_rejects_long_shape(capsys):
     assert main(["branch", "--n", "2", "--lambda", "1,1,1,1,1"]) == EXIT_USAGE
 

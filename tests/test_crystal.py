@@ -9,6 +9,7 @@ from artifact.crystal import (
     ab_sequences,
     column_dominance_violation,
     crystal_e,
+    dominant_columns,
     crystal_f,
     e_max,
     eps,
@@ -31,6 +32,7 @@ from artifact.characters import sp_weight
 from artifact.shapes import enumerate_partitions
 from artifact.tableaux import (
     columns_of,
+    enumerate_columns,
     enumerate_ssyt,
     freeze,
     rows_of,
@@ -227,6 +229,27 @@ def test_dominance_scan_matches_the_full_rescan(n):
             cases.append((cols, expected))
     for cols, expected in cases:
         assert column_dominance_violation(cols, n) == expected, cols
+
+
+@pytest.mark.parametrize("n, max_size", [(1, 10), (2, 9), (3, 7), (4, 6)])
+def test_the_dominant_search_is_the_filtered_enumeration(n, max_size, cold_caches):
+    """The pruned search finds the tableaux that pass the dominance scan, in
+    the enumeration's order, on every shape of at most max_size boxes."""
+    for lam in enumerate_partitions(max_size, 2 * n):
+        expected = [
+            cols for cols in enumerate_columns(lam, 2 * n)
+            if column_dominance_violation(cols, n) is None
+        ]
+        assert dominant_columns(lam, n) == expected, lam
+    assert dominant_columns((), n) == [[]]
+
+
+def test_the_dominant_search_takes_a_shape_of_any_width(time_bound):
+    """The search keeps its path on a stack: 3000 columns nest no frames.
+    Only the row of 1s is dominant, since a 2 read first turns the weight
+    negative."""
+    time_bound(10)
+    assert dominant_columns((3000,), 1) == [[(1,)] * 3000]
 
 
 def test_dominant_tableaux_have_dominant_weight():

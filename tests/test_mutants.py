@@ -3,8 +3,9 @@
 Each fault replaces, by monkeypatch, the module global that the library
 actually calls: characters looks up king_modification,
 even_column_lr_count, king_rows, sp_weight and _strip_transfer by name at
-call time; verify_shape calls the staircase_flags that verify binds;
-branching looks up ab_sequences and _reduced, and crystal _dominance_step,
+call time; verify_shape calls the enumerate_columns, dominant_columns,
+_reinserted and staircase_flags that verify binds; branching looks up
+ab_sequences and _reduced, and crystal ab_sequences and _dominance_step,
 by name.  The cold_caches fixture empties every table the library keeps,
 so that a value cached by an earlier sweep cannot hide a fault.
 
@@ -20,14 +21,15 @@ the check that does see it.
 """
 
 import math
-from itertools import product
-from operator import add
+from functools import cache
+from itertools import combinations, islice, product
+from operator import add, le
 
 import pytest
 
 from artifact import branching, characters, cli, crystal, promotion, shapes, tableaux, verify
 from artifact.characters import decompose, littlewood_branching, restricted_gl_character
-from artifact.shapes import canonical, enumerate_partitions, part
+from artifact.shapes import canonical, conjugate, enumerate_partitions, part
 from artifact.tableaux import content
 from artifact.verify import verify_sweep
 from helpers import SWEEP_CACHES
@@ -39,6 +41,7 @@ SP_WEIGHT = characters.sp_weight
 STAIRCASE_FLAGS = verify.staircase_flags
 AB_SEQUENCES = branching.ab_sequences
 DOMINANCE_STEP = crystal._dominance_step
+ENUMERATE_COLUMNS = verify.enumerate_columns
 
 
 def _sp_weight_pairing_2i_minus_1_with_2i_plus_2(T, n):
@@ -140,6 +143,42 @@ def _even_column_lr_count_mutant(lattice: bool, even: bool):
     return even_column_lr_count
 
 
+def _dominant_columns_mutant(bounded: bool):
+    """The body of crystal.dominant_columns, with the row bound by the right
+    neighbour kept or dropped."""
+
+    def dominant_columns(lam, n):
+        lengths = conjugate(canonical(lam))[::-1]
+        if not lengths:
+            return [[]]
+
+        @cache
+        def below(right, k):
+            return [
+                col for col in combinations(range(1, 2 * n + 1), k)
+                if not bounded or all(map(le, col, right))
+            ]
+
+        found, path, weights = [], [], [(0,) * (n + 1)]
+        levels = [iter(below((), lengths[0]))]
+        while levels:
+            col = next(levels[-1], None)
+            if col is None:
+                levels.pop()
+                del path[-1:], weights[-1:]
+            elif (m := crystal._dominance_step(col, weights[-1], n)[0]) is None:
+                continue
+            elif len(levels) == len(lengths):
+                found.append([col, *reversed(path)])
+            else:
+                path.append(col)
+                weights.append(m)
+                levels.append(iter(below(col, lengths[len(path)])))
+        return sorted(found)
+
+    return dominant_columns
+
+
 def _dominance_step_without_its_zero_sentinel(col, m, n):
     # A sentinel of -inf never bounds the last coordinate, so it may turn negative.
     return DOMINANCE_STEP(col, m[:n] + (-math.inf,), n)
@@ -181,6 +220,22 @@ DETECTED = {
         "_dominance_step",
         _dominance_step_without_its_zero_sentinel,
     ),
+    "the dominant search without its right-neighbour row bound": (
+        verify,
+        "dominant_columns",
+        _dominant_columns_mutant(bounded=False),
+    ),
+    "the first-column shortcut taken for every first column": (
+        verify,
+        "_reinserted",
+        lambda col: None,
+    ),
+    "one dropped tableau per shape": (
+        verify,
+        "enumerate_columns",
+        lambda lam, m: islice(ENUMERATE_COLUMNS(lam, m), 1, None),
+    ),
+    "wt_k reading b for a": (crystal, "ab_sequences", lambda n: (AB_SEQUENCES(n)[1],) * 2),
     "King's modification without its sign": (
         characters,
         "king_modification",
@@ -273,6 +328,15 @@ def test_the_strip_mutant_without_slack_is_the_transfer():
         for lam in enumerate_partitions(size, 2 * n):
             for rows in (characters.king_rows, lambda j: j):
                 assert copy(lam, n, rows) == characters._strip_transfer(lam, n, rows), lam
+
+
+def test_the_dominant_search_mutant_with_its_bound_is_the_search():
+    """The copied body differs from crystal.dominant_columns only in the
+    switch, so the detected mutant is the dropped row bound and nothing else."""
+    copy = _dominant_columns_mutant(bounded=True)
+    for n, size in SWEEPS:
+        for lam in enumerate_partitions(size, 2 * n):
+            assert copy(lam, n) == crystal.dominant_columns(lam, n), lam
 
 
 def test_the_littlewood_mutants_without_their_faults_are_the_rule():

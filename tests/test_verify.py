@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from artifact import characters, tableaux, verify
+from artifact import characters, crystal, tableaux, verify
 from artifact.branching import p_aii
 from artifact.crystal import is_ghat_dominant
 from artifact.cli import EXIT_FAIL, main
@@ -23,7 +23,13 @@ from artifact.verify import (
     verify_shape,
     verify_sweep,
 )
-from helpers import is_k_highest, is_k_lowest, random_shape
+from helpers import (
+    SWEEP_CACHES,
+    is_k_highest,
+    is_k_lowest,
+    random_shape,
+    verify_shape_reference,
+)
 
 
 @pytest.mark.parametrize("n, max_size", [(2, 6), (3, 4)])
@@ -34,6 +40,19 @@ def test_report_classes_match_a_fresh_classification(n, max_size):
         assert report.dominant == [T for T in tableaux if is_ghat_dominant(T, n)], lam
         assert report.highest == [(T, p_aii(T)) for T in tableaux if is_k_highest(T, n)], lam
         assert report.lowest == [(T, p_aii(T)) for T in tableaux if is_k_lowest(T, n)], lam
+
+
+@pytest.mark.parametrize("n, max_size", [(2, 8), (3, 6), (4, 5)])
+def test_verify_shape_matches_its_former_body(n, max_size, cold_caches):
+    """Every report field but the time, list order included, equals that of
+    the former body, which tests each tableau for dominance and runs its suc
+    chain; each side starts from empty caches."""
+    shapes = enumerate_partitions(max_size, 2 * n)
+    reports = [verify_shape(lam, n) for lam in shapes]
+    for cached in SWEEP_CACHES:
+        cached.cache_clear()
+    for report, lam in zip(reports, shapes):
+        assert report._replace(elapsed=0.0) == verify_shape_reference(lam, n), lam
 
 
 def test_bijection_suite_catches_a_wrong_phi(monkeypatch):
@@ -100,17 +119,27 @@ def _without_shape_22(function, empty):
     return lambda lam, *rest: empty() if tuple(lam) == (2, 2) else function(lam, *rest)
 
 
-def test_shared_fault_on_every_side_fails_the_hook_content_count(
-    monkeypatch, capsys, time_bound
-):
-    """Shape (2, 2) missing on the model side and from littlewood_branching:
-    the five models then agree on no row at all, and the third side,
-    count_ssyt((2, 2), 4) = 20 by the hook-content formula, fails the
-    dimension check against no tableaux and a Weyl dimension sum of 0."""
-    time_bound(30)
+def _drop_shape_22_from_the_model_walks(monkeypatch):
+    """Shape (2, 2) missing from enumerate_columns, which the highest,
+    lowest and recording models walk, and from the dominant search."""
     monkeypatch.setattr(
         verify, "enumerate_columns", _without_shape_22(tableaux.enumerate_columns, tuple)
     )
+    monkeypatch.setattr(
+        verify, "dominant_columns", _without_shape_22(crystal.dominant_columns, list)
+    )
+
+
+def test_shared_fault_on_every_side_fails_the_hook_content_count(
+    monkeypatch, capsys, time_bound
+):
+    """Shape (2, 2) missing from both model-side walks and from
+    littlewood_branching: the five models then agree on no row at all, and
+    the third side, count_ssyt((2, 2), 4) = 20 by the hook-content formula,
+    fails the dimension check against no tableaux and a Weyl dimension sum
+    of 0."""
+    time_bound(30)
+    _drop_shape_22_from_the_model_walks(monkeypatch)
     monkeypatch.setattr(
         verify, "littlewood_branching", _without_shape_22(characters.littlewood_branching, dict)
     )
@@ -124,14 +153,12 @@ def test_shared_fault_on_every_side_fails_the_hook_content_count(
 def test_shared_fault_on_the_model_side_fails_the_oracle_rows_and_dimension_check(
     monkeypatch, capsys, time_bound
 ):
-    """Shape (2, 2) missing on the model side: the oracle, which lists no
-    tableaux, still finds mu = (), (1, 1) and (2, 2) once each, where the
-    four models find nothing, and the Weyl dimensions of those three sum to
-    20 against no tableaux."""
+    """Shape (2, 2) missing from both model-side walks: the oracle, which
+    lists no tableaux, still finds mu = (), (1, 1) and (2, 2) once each,
+    where the four models find nothing, and the Weyl dimensions of those
+    three sum to 20 against no tableaux."""
     time_bound(30)
-    monkeypatch.setattr(
-        verify, "enumerate_columns", _without_shape_22(tableaux.enumerate_columns, tuple)
-    )
+    _drop_shape_22_from_the_model_walks(monkeypatch)
     reports = verify_sweep(2, 6)
     failing = [r for r in reports if not r.passed]
     assert [(r.lam, r.sst_total, r.sp_dim_sum) for r in failing] == [((2, 2), 0, 20)]
@@ -144,3 +171,24 @@ def test_shared_fault_on_the_model_side_fails_the_oracle_rows_and_dimension_chec
     out = capsys.readouterr().out
     assert "2,2\t2,2\t1\t0\t0\t0\t0\tMISMATCH" in out
     assert "dimension identity\tMISMATCH" in out
+
+
+def test_a_fault_of_the_enumerator_alone_shows_on_the_dominant_column(
+    monkeypatch, capsys, time_bound
+):
+    """Shape (2, 2) missing from enumerate_columns only: the dominant search
+    walks its own columns, so g_dominant still finds mu = (), (1, 1) and
+    (2, 2) once each, as the oracle does, against 0 in the three models that
+    walk the enumerator."""
+    time_bound(30)
+    monkeypatch.setattr(
+        verify, "enumerate_columns", _without_shape_22(tableaux.enumerate_columns, tuple)
+    )
+    failing = [r for r in verify_sweep(2, 6) if not r.passed]
+    assert [(r.lam, r.sst_total, r.sp_dim_sum) for r in failing] == [((2, 2), 0, 20)]
+    assert failing[0].rows == [
+        ModelRow(mu, g_dom=1, khw=0, klw=0, rec=0, oracle=1) for mu in ((), (1, 1), (2, 2))
+    ]
+    assert len(failing[0].dominant) == 3
+    assert main(["verify", "--n", "2", "--max-size", "6"]) == EXIT_FAIL
+    assert "2,2\t2,2\t1\t1\t0\t0\t0\tMISMATCH" in capsys.readouterr().out
