@@ -12,7 +12,7 @@ from itertools import combinations, islice
 from operator import le
 
 from .shapes import Partition, canonical, conjugate
-from .tableaux import Column, Rows, columns_of, content, row_word, validate_ssyt
+from .tableaux import Column, Rows, chains, columns_of, content, row_word, validate_ssyt
 
 Word = list[int]
 
@@ -199,35 +199,20 @@ def dominant_columns(lam: Partition, n: int) -> list[list[Column]]:
     """The column lists of the tableaux of shape lam over [1, 2n] that
     column_dominance_violation passes, in enumerate_columns order.  The
     inverse column word grows one column at a time, right to left, each
-    column row-wise at most the one to its right, so a search that carries
-    the partial weight through _dominance_step cuts a branch at its first
-    non-dominant prefix.  A depth-first walk on an explicit stack."""
-    lengths = conjugate(canonical(lam))[::-1]
-    if not lengths:
-        return [[]]
+    column row-wise at most the one to its right, so chains of (column,
+    partial weight) nodes, each weight carried through _dominance_step,
+    cut a branch at its first non-dominant prefix."""
 
     @cache
     def below(right: Column, k: int) -> list[Column]:
         return [col for col in combinations(range(1, 2 * n + 1), k) if all(map(le, col, right))]
 
-    # levels[x] runs over the candidates for the x-th column from the right,
-    # given path[:x]; weights[x] is the partial weight after path[:x].
-    found, path, weights = [], [], [(0,) * (n + 1)]
-    levels = [iter(below((), lengths[0]))]
-    while levels:
-        col = next(levels[-1], None)
-        if col is None:
-            levels.pop()
-            del path[-1:], weights[-1:]
-        elif (m := _dominance_step(col, weights[-1], n)[0]) is None:
-            continue
-        elif len(levels) == len(lengths):
-            found.append([col, *reversed(path)])
-        else:
-            path.append(col)
-            weights.append(m)
-            levels.append(iter(below(col, lengths[len(path)])))
-    return sorted(found)
+    def children(node: tuple, k: int) -> list[tuple]:
+        right, m = node
+        return [(col, w) for col in below(right, k) if (w := _dominance_step(col, m, n)[0])]
+
+    found = chains(conjugate(canonical(lam))[::-1], children, ((), (0,) * (n + 1)))
+    return sorted([col for col, _ in reversed(chain)] for chain in found)
 
 
 def is_ghat_dominant(T: Rows, n: int) -> bool:

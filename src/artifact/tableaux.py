@@ -9,7 +9,7 @@ left to right; the row enumerators are views of enumerate_columns.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from functools import cache
 from itertools import combinations, zip_longest
 from math import prod
@@ -126,41 +126,54 @@ def column_star(C: Rows, S: Rows) -> Rows:
     return rows_of(cols)
 
 
-def enumerate_columns(lam: Partition, m: int) -> Iterator[list[Column]]:
-    """All semistandard tableaux of shape lam over [1, m] as column lists, a
-    chain of strictly increasing tuples each row-wise >= its left neighbour,
-    in lexicographic order of the column reading sequence.  A depth-first
-    walk on an explicit stack, so a shape may have any number of columns."""
-    lengths = conjugate(canonical(lam))
-    if not lengths:
+def chains(lengths: tuple[int, ...], children: Callable[..., list], root) -> Iterator[list]:
+    """Every chain [node_1, ..., node_L], L = len(lengths), with node_1 in
+    children(root, lengths[0]) and node_x+1 in children(node_x, lengths[x]),
+    in the order of the children lists, which depend on node and length only.
+    A depth-first walk on an explicit stack.  A node with one child is no
+    branch point, and one that is its own only child fills the rest of its
+    run of equal lengths at once, a test made where a forced run starts."""
+    last = len(lengths) - 1
+    if last < 0:
         yield []
         return
-
-    @cache
-    def after(left: Column, k: int) -> list[Column]:
-        return [col for col in combinations(range(1, m + 1), k) if all(map(le, left, col))]
-
-    last = len(lengths) - 1
-    prefix: list[Column] = []
-    cands = after((), lengths[0])  # the candidates for column len(prefix)
-    levels: list = []  # (the candidates left for column x, x)
+    ends = [x for x in range(1, last + 1) if lengths[x] != lengths[x - 1]] + [last + 1]  # run ends
+    prefix, levels = [], []  # levels: (the candidates left for node x, x)
+    cands = children(root, lengths[0])  # the candidates for node len(prefix)
     while True:
-        # A column with one candidate is no branch point: take it and go on.
-        while len(cands) == 1 and len(prefix) < last:
-            prefix.append(cands[0])
-            cands = after(cands[0], lengths[len(prefix)])
-        if len(prefix) == last:  # the last column: finish the lists at once
-            yield from [prefix + [col] for col in cands]
+        if len(cands) == 1 and len(prefix) < last:  # a forced run starts
+            if prefix and cands[0] == prefix[-1]:  # at a node that is its own only child
+                x = min(ends[bisect_right(ends, len(prefix))], last)
+                prefix += cands * (x - len(prefix))
+                cands = children(cands[0], lengths[x])
+            while len(cands) == 1 and len(prefix) < last:
+                prefix.append(cands[0])
+                cands = children(cands[0], lengths[len(prefix)])
+        if len(prefix) == last:  # the last node: finish the chains at once
+            yield from [[*prefix, node] for node in cands]
         else:
             levels.append((iter(cands), len(prefix)))
-        while levels and (col := next(levels[-1][0], None)) is None:
+        while levels and (node := next(levels[-1][0], None)) is None:
             levels.pop()
         if not levels:
             return
         x = levels[-1][1]
         del prefix[x:]
-        prefix.append(col)
-        cands = after(col, lengths[x + 1])
+        prefix.append(node)
+        cands = children(node, lengths[x + 1])
+
+
+def enumerate_columns(lam: Partition, m: int) -> Iterator[list[Column]]:
+    """All semistandard tableaux of shape lam over [1, m] as column lists, a
+    chain of strictly increasing tuples each row-wise >= its left neighbour,
+    in lexicographic order of the column reading sequence: the chains from
+    () of the relation after."""
+
+    @cache
+    def after(left: Column, k: int) -> list[Column]:
+        return [col for col in combinations(range(1, m + 1), k) if all(map(le, left, col))]
+
+    return chains(conjugate(canonical(lam)), after, ())
 
 
 def enumerate_ssyt(lam: Partition, m: int) -> Iterator[Rows]:

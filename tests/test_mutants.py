@@ -6,8 +6,11 @@ even_column_lr_count, king_rows, sp_weight and _strip_transfer by name at
 call time; verify_shape calls the enumerate_columns, dominant_columns,
 _reinserted and staircase_flags that verify binds; branching looks up
 ab_sequences and _reduced, and crystal ab_sequences and _dominance_step,
-by name.  The cold_caches fixture empties every table the library keeps,
-so that a value cached by an earlier sweep cannot hide a fault.
+by name.  tableaux.enumerate_columns and crystal.dominant_columns each call
+the one search, chains, by the name their own module binds, so a fault of
+the search patches both bindings.  The cold_caches fixture empties every
+table the library keeps, so that a value cached by an earlier sweep cannot
+hide a fault.
 
 A fault is detected when verify_sweep(2, 5) or verify_sweep(3, 4) gives a
 failing report or raises RuntimeError (exit 4 on the command line); a pass
@@ -22,7 +25,7 @@ the check that does see it.
 
 import math
 from functools import cache
-from itertools import combinations, islice, product
+from itertools import combinations, groupby, islice, product
 from operator import add, le
 
 import pytest
@@ -42,6 +45,7 @@ STAIRCASE_FLAGS = verify.staircase_flags
 AB_SEQUENCES = branching.ab_sequences
 DOMINANCE_STEP = crystal._dominance_step
 ENUMERATE_COLUMNS = verify.enumerate_columns
+CHAINS = tableaux.chains
 
 
 def _sp_weight_pairing_2i_minus_1_with_2i_plus_2(T, n):
@@ -144,39 +148,29 @@ def _even_column_lr_count_mutant(lattice: bool, even: bool):
 
 
 def _dominant_columns_mutant(bounded: bool):
-    """The body of crystal.dominant_columns, with the row bound by the right
-    neighbour kept or dropped."""
+    """crystal.dominant_columns's relation on the one search, with the row
+    bound by the right neighbour kept or dropped."""
 
     def dominant_columns(lam, n):
-        lengths = conjugate(canonical(lam))[::-1]
-        if not lengths:
-            return [[]]
-
         @cache
         def below(right, k):
-            return [
-                col for col in combinations(range(1, 2 * n + 1), k)
-                if not bounded or all(map(le, col, right))
-            ]
+            cols = combinations(range(1, 2 * n + 1), k)
+            return [col for col in cols if not bounded or all(map(le, col, right))]
 
-        found, path, weights = [], [], [(0,) * (n + 1)]
-        levels = [iter(below((), lengths[0]))]
-        while levels:
-            col = next(levels[-1], None)
-            if col is None:
-                levels.pop()
-                del path[-1:], weights[-1:]
-            elif (m := crystal._dominance_step(col, weights[-1], n)[0]) is None:
-                continue
-            elif len(levels) == len(lengths):
-                found.append([col, *reversed(path)])
-            else:
-                path.append(col)
-                weights.append(m)
-                levels.append(iter(below(col, lengths[len(path)])))
-        return sorted(found)
+        def children(node, k):
+            right, m = node
+            return [(c, w) for c in below(right, k) if (w := crystal._dominance_step(c, m, n)[0])]
+
+        found = CHAINS(conjugate(canonical(lam))[::-1], children, ((), (0,) * (n + 1)))
+        return sorted([col for col, _ in reversed(chain)] for chain in found)
 
     return dominant_columns
+
+
+def _chains_without_each_last_batch_end(lengths, children, root):
+    # The chains that share all but their last node come as one batch.
+    for _, batch in groupby(CHAINS(lengths, children, root), key=lambda chain: chain[:-1]):
+        yield from list(batch)[:-1]
 
 
 def _dominance_step_without_its_zero_sentinel(col, m, n):
@@ -184,7 +178,7 @@ def _dominance_step_without_its_zero_sentinel(col, m, n):
     return DOMINANCE_STEP(col, m[:n] + (-math.inf,), n)
 
 
-# name -> (module, global of that module, replacement)
+# name -> (module or modules, global of each, replacement)
 DETECTED = {
     "king_rows(j) = j, GL's row cap": (characters, "king_rows", lambda j: j),
     "king_rows(j) = (j + 2) // 2, King relaxed to 2y - 2": (
@@ -224,6 +218,11 @@ DETECTED = {
         verify,
         "dominant_columns",
         _dominant_columns_mutant(bounded=False),
+    ),
+    "the chain search losing the last chain of each last-level batch": (
+        (tableaux, crystal),
+        "chains",
+        _chains_without_each_last_batch_end,
     ),
     "the first-column shortcut taken for every first column": (
         verify,
@@ -292,7 +291,8 @@ def _detected(check) -> bool:
 def test_mutant_is_detected(name, monkeypatch, time_bound, cold_caches):
     time_bound(30)
     module, glob, replacement = DETECTED[name]
-    monkeypatch.setattr(module, glob, replacement)
+    for bound in module if isinstance(module, tuple) else (module,):
+        monkeypatch.setattr(bound, glob, replacement)
     in_reference = module is characters and glob in REFERENCE
     assert _detected(_reference_disagrees if in_reference else _sweeps_fail), name
 

@@ -7,8 +7,10 @@ from functools import cache
 from itertools import combinations, product
 from operator import le
 
+from artifact import tableaux
 from artifact.shapes import canonical, conjugate, enumerate_partitions
 from artifact.tableaux import (
+    chains,
     column_star,
     columns_of,
     content,
@@ -287,3 +289,51 @@ def test_column_generator_matches_the_reference():
     assert checked == 33825
     assert count_ssyt((1, 1), 1) == 0 and count_ssyt((5,), 1) == 1
     assert list(enumerate_columns((), 4)) == [[]] == list(_enumerate_columns_reference((), 4))
+
+
+def test_runs_of_equal_columns_before_shorter_ones_match_the_reference():
+    """A top column is its own only successor and fills the rest of its run
+    of equal lengths at once; shapes whose run is followed by shorter
+    columns check where that run ends."""
+    for lam in ((4, 2), (5, 5, 2), (6, 3, 3), (7, 7, 1), (3, 3, 3, 1), (9, 2, 2)):
+        for m in range(1, 5):
+            columns = list(_enumerate_columns_reference(lam, m))
+            assert list(enumerate_columns(lam, m)) == columns, (lam, m)
+
+
+def _chains_reference(lengths, children, root):
+    if not lengths:
+        return [[]]
+    return [
+        [node, *rest]
+        for node in children(root, lengths[0])
+        for rest in _chains_reference(lengths[1:], children, node)
+    ]
+
+
+def test_chains_follow_the_children_lists():
+    assert list(chains((), lambda node, k: [node], 0)) == [[]]
+    digits = lambda node, k: [node + (d,) for d in reversed(range(k))]
+    got = list(chains((2, 1, 3), digits, ()))
+    assert got == [[d[:1], d[:2], d] for d in product((1, 0), (0,), (2, 1, 0))]
+    # Nodes that are their own only child, in runs of several lengths.
+    loops = lambda node, k: [node] if k == 1 or node % k == 0 else [node + 1, node + k]
+    for lengths in ((1, 1, 2, 2, 1), (2, 3, 3, 1, 1, 1, 3), (3, 3, 3), (1,), (2, 2, 1, 2)):
+        for root in range(4):
+            assert list(chains(lengths, loops, root)) == _chains_reference(lengths, loops, root)
+
+
+def test_a_wide_shape_makes_linearly_many_relation_calls(monkeypatch, time_bound):
+    """Over [1, 2] a row of 3000 boxes has 3001 tableaux, each a row of 1s
+    then a row of 2s; the 2s fill the row at once, so the search asks the
+    relation for children at most three times per column, where a walk one
+    column per step would ask about 4.5 million times."""
+    time_bound(10)
+    search, calls = tableaux.chains, []
+
+    def counted(lengths, children, root):
+        return search(lengths, lambda node, k: calls.append(k) or children(node, k), root)
+
+    monkeypatch.setattr(tableaux, "chains", counted)
+    assert sum(1 for _ in enumerate_columns((3000,), 2)) == 3001
+    assert len(calls) <= 3 * 3000
