@@ -18,7 +18,7 @@ from .crystal import (
     tableau_f_max,
     tableau_phi,
 )
-from .shapes import Partition, conjugate, part
+from .shapes import Partition, canonical, part
 from .tableaux import (
     Column,
     Rows,
@@ -107,44 +107,37 @@ def _recording(chain: list[list[Column]]) -> dict[tuple[int, int], int]:
     return Q
 
 
-def _staircase(mu: Partition, n: int, side: int) -> Rows:
-    """The a- (side 0) or b-staircase (side 1) of shape mu, as rows."""
-    if len(mu) > n:
-        raise ValueError(f"mu has more than {n} rows")
-    return rows_of(_staircase_columns(conjugate(mu), n)[side])
+def _constant_rows(mu: Partition, letters: tuple[int, ...]) -> Rows:
+    """Rows of shape mu with row y filled with letters[y - 1]; ValueError if
+    mu has more rows than there are letters."""
+    mu = canonical(mu)
+    if len(mu) > len(letters):
+        raise ValueError(f"mu has more than {len(letters)} rows")
+    return [[letter] * m for letter, m in zip(letters, mu)]
 
 
 def a_staircase(mu: Partition, n: int) -> Rows:
     """Tableau of shape mu with row y filled with a_y."""
-    return _staircase(mu, n, 0)
+    return _constant_rows(mu, ab_sequences(n)[0])
 
 
 def b_staircase(mu: Partition, n: int) -> Rows:
     """Tableau of shape mu with row y filled with b_y."""
-    return _staircase(mu, n, 1)
+    return _constant_rows(mu, ab_sequences(n)[1])
 
 
 @cache
-def _staircase_columns(lengths: tuple[int, ...], n: int) -> tuple[list[Column], list[Column]]:
-    """The a- and b-staircase columns of these lengths (cut to n entries)."""
-    a, b = ab_sequences(n)
-    return [a[:k] for k in lengths], [b[:k] for k in lengths]
-
-
-@cache
-def _staircase_first_columns(n: int) -> frozenset[Column]:
-    """The first columns a[:k] and b[:k] (1 <= k <= n) of the staircases."""
-    return frozenset(s[:k] for s in ab_sequences(n) for k in range(1, n + 1))
+def _staircase_prefixes(n: int) -> tuple[frozenset[Column], frozenset[Column]]:
+    """The columns a[:k], and the columns b[:k], for 1 <= k <= n."""
+    return tuple(frozenset(s[:k] for k in range(1, n + 1)) for s in ab_sequences(n))
 
 
 def staircase_flags(P: list[Column], n: int) -> tuple[bool, bool]:
     """Whether the tableau with columns P has row y constantly a_y, resp. b_y:
-    P starts with a staircase first column and equals the staircase columns
-    looked up by its column lengths."""
-    if P and P[0] not in _staircase_first_columns(n):
-        return False, False
-    A, B = _staircase_columns(tuple([len(col) for col in P]), n)
-    return P == A, P == B
+    whether every column of P is a prefix of a, resp. b, of at most n
+    entries.  The empty P is both."""
+    A, B = _staircase_prefixes(n)
+    return A.issuperset(P), B.issuperset(P)
 
 
 def p_aii_range(T: Rows, a: int, b: int) -> Rows:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, product
 from math import prod
-from operator import add
+from operator import add, sub
 
 from .shapes import Partition, canonical, part
 from .tableaux import content
@@ -53,28 +53,30 @@ def even_column_lr_count(lam: Partition, mu: Partition) -> int:
     when ends[k] <= above[k - 1], the chain of the row above.  A row is
     read right to left, so its letters k come before its letters k - 1,
     and the word stays a lattice word when the count of k, with this
-    row's, is at most the count of k - 1 in the rows above (before)."""
-    rows = len(lam)
+    row's, is at most the count of k - 1 in the rows above (before).
 
-    def fill(r, ends, above, before, count) -> int:
-        k = len(ends)  # the next letter
-        if k > r + 1:  # row r is full: start row r + 1
-            r, ends, above, before, k = r + 1, [part(mu, r + 2)], ends, count, 1
-        if r == rows:
-            return int(count[::2] == count[1::2])
-        start, end = ends[-1], lam[r]
-        top = min(end, above[k - 1])
-        if k > 1:
-            top = min(top, start + before[k - 2] - before[k - 1])
-        total = 0
-        for e in range(start if k <= r else end, top + 1):
-            grown = count.copy()
-            grown[k - 1] += e - start
-            total += fill(r, ends + [e], above, before, grown)
-        return total
-
-    zero = [0] * (rows + rows % 2)
-    return fill(0, [part(mu, 1)], [part(lam, 1)], zero, zero)
+    A transfer over rows: the state maps (the chain of the last row filled,
+    the letter counts so far) to the number of fillings, and the chains of
+    one row grow letter by letter, so the stack does not grow with lam."""
+    state = {((part(lam, 1),), (0,) * (len(lam) + len(lam) % 2)): 1}
+    for r, end in enumerate(lam):
+        step = {}
+        for (above, before), m in state.items():
+            chains = [(part(mu, r + 1),)]
+            for k in range(1, r + 2):  # the next letter; 1s have no lattice bound
+                slack = before[k - 2] - before[k - 1] if k > 1 else end
+                chains = [
+                    ends + (e,)
+                    for ends in chains
+                    for e in range(
+                        ends[-1] if k <= r else end, min(end, above[k - 1], ends[-1] + slack) + 1
+                    )
+                ]
+            for ends in chains:
+                count = (*map(add, before, map(sub, ends[1:], ends)), *before[r + 1 :])
+                step[ends, count] = step.get((ends, count), 0) + m
+        state = step
+    return sum(m for (_, count), m in state.items() if count[::2] == count[1::2])
 
 
 def littlewood_branching(lam: Partition, n: int) -> dict[Partition, int]:
@@ -82,12 +84,15 @@ def littlewood_branching(lam: Partition, n: int) -> dict[Partition, int]:
     Littlewood's rule, the sum over mu inside lam of even_column_lr_count,
     with each sp_mu made a signed sp_nu by king_modification.
 
-    An even-column delta has even size, so mu with |lam| - |mu| odd are
+    The mu are grown part by part, mu_i at most lam_i and mu_(i - 1).  An
+    even-column delta has even size, so mu with |lam| - |mu| odd are
     skipped, and mu whose modified term vanishes are never counted."""
     lam = canonical(lam)
-    size, out = sum(lam), {}
-    for mu in product(*(range(p + 1) for p in lam)):
-        if (size - sum(mu)) % 2 or any(a < b for a, b in zip(mu, mu[1:])):
+    size, out, inside = sum(lam), {}, [()]
+    for p in lam:
+        inside = [mu + (q,) for mu in inside for q in range(1 + (min(p, mu[-1]) if mu else p))]
+    for mu in inside:
+        if (size - sum(mu)) % 2:
             continue
         mu = canonical(mu)
         if (term := king_modification(mu, n)) and (m := even_column_lr_count(lam, mu)):

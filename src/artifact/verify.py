@@ -9,7 +9,7 @@ import time
 from collections import Counter, namedtuple
 from itertools import accumulate
 
-from .branching import _reinserted, _staircase_first_columns, _suc_chain, staircase_flags
+from .branching import _reinserted, _suc_chain, staircase_flags
 from .characters import littlewood_branching, sp_dimension
 from .crystal import dominant_columns, wt_ghat, wt_k
 from .promotion import _pr_flat, _pr_inv_flat, _tables, phi, psi
@@ -70,8 +70,8 @@ def verify_shape(lam: Partition, n: int) -> VerificationReport:
     dominant tableaux come from their own pruned search.  The walk yields
     the tableaux in runs with one first column, and P is decided once per
     run: with nothing removable from that column, each tableau of the run is
-    its own P, and none is highest or lowest unless the column is a
-    staircase first column."""
+    its own P, and none is highest or lowest unless that column is itself
+    a staircase column."""
     start = time.perf_counter()
     dominant = [rows_of(cols) for cols in dominant_columns(lam, n)]
     highest, lowest = [], []
@@ -82,7 +82,7 @@ def verify_shape(lam: Partition, n: int) -> VerificationReport:
         if cols and cols[0] is not first:  # a new run: its tableaux share one tuple
             first = cols[0]
             fixed = _reinserted(first) is None
-            skip = fixed and first not in _staircase_first_columns(n)
+            skip = fixed and not any(staircase_flags([first], n))
         if skip:
             continue
         P = cols if fixed else _suc_chain(cols)[-1]

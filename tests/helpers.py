@@ -33,8 +33,7 @@ from artifact.verify import ModelRow, VerificationReport, _tally_key
 SWEEP_CACHES = (
     characters.sp_character,
     branching._reduced,
-    branching._staircase_columns,
-    branching._staircase_first_columns,
+    branching._staircase_prefixes,
     crystal._dominance_step,
     promotion._tables,
 )

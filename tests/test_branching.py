@@ -25,13 +25,14 @@ from artifact.branching import (
     suc,
 )
 from artifact.crystal import ab_sequences, is_ghat_dominant
-from artifact.shapes import enumerate_partitions
+from artifact.shapes import conjugate, enumerate_partitions
 from artifact.tableaux import (
     columns_of,
     enumerate_columns,
     enumerate_spt,
     enumerate_ssyt,
     freeze,
+    rows_of,
     shape,
     validate_ssyt,
 )
@@ -244,13 +245,36 @@ def test_staircases():
 
 
 def test_staircases_reject_more_than_n_rows():
-    # The cached columns are cut to n entries, so without a check the rows
-    # would silently lose the rows below n.
+    # zip stops at the n-th letter, so without a check the rows below n
+    # would be lost silently.
     for staircase in (a_staircase, b_staircase):
         with pytest.raises(ValueError, match="^mu has more than 2 rows$"):
             staircase((1, 1, 1), 2)
         with pytest.raises(ValueError, match="^mu has more than 1 rows$"):
             staircase((2, 1), 1)
+        for n in range(1, 5):
+            for mu in enumerate_partitions(8, 8):
+                if len(mu) > n:
+                    with pytest.raises(ValueError, match=f"^mu has more than {n} rows$"):
+                        staircase(mu, n)
+
+
+def _staircase_reference(mu, n, side):
+    """The former staircase body: the a- or b-staircase columns of the
+    column lengths of mu, as rows."""
+    if len(mu) > n:
+        raise ValueError(f"mu has more than {n} rows")
+    return rows_of([ab_sequences(n)[side][:k] for k in conjugate(mu)])
+
+
+def test_staircases_match_their_former_bodies():
+    for n in range(1, 5):
+        for mu in enumerate_partitions(8, n):
+            assert a_staircase(mu, n) == _staircase_reference(mu, n, 0), (mu, n)
+            assert b_staircase(mu, n) == _staircase_reference(mu, n, 1), (mu, n)
+    # Trailing zeros are not rows.
+    assert a_staircase((1, 0), 1) == [[2]]
+    assert b_staircase((2, 1, 0, 0), 2) == [[1, 1], [4]]
 
 
 def test_staircase_flags_match_staircases():
@@ -273,16 +297,24 @@ def _staircase_flags_reference(P, n):
     return P == [a[:len(col)] for col in P], P == [b[:len(col)] for col in P]
 
 
-def test_staircase_flags_match_the_length_key_reference():
-    """On every P of verify_sweep(2, 6) and (3, 5), the empty P and columns
-    longer than n."""
-    for n, size in ((2, 6), (3, 5)):
+def test_staircase_flags_match_the_column_by_column_reference():
+    """On every P of verify_sweep(2, 6), (3, 5) and (4, 5), the empty P,
+    columns longer than n, alone or after staircase columns, and P of 50
+    columns or more."""
+    for n, size in ((2, 6), (3, 5), (4, 5)):
         for lam in enumerate_partitions(size, 2 * n):
             for cols in enumerate_columns(lam, 2 * n):
                 P = branching._suc_chain(cols)[-1]
                 assert staircase_flags(P, n) == _staircase_flags_reference(P, n), P
-    for P in ([], [(2, 3, 4)], [(1, 4, 5)], [(2, 3, 4), (2,)], [(1, 4, 5, 6)]):
+    wide = [
+        [(2, 3)] * 30 + [(2,)] * 30,
+        [(1, 4)] * 25 + [(1,)] * 25,
+        [(1, 4)] * 25 + [(1,)] * 24 + [(2,)],
+    ]
+    for P in ([], [(2, 3, 4)], [(1, 4, 5)], [(2, 3, 4), (2,)], [(1, 4, 5, 6)],
+              [(2, 3), (2,), (2, 3, 4)], [(1, 4), (1, 4, 5)], *wide):
         assert staircase_flags(P, 2) == _staircase_flags_reference(P, 2), P
+    assert [staircase_flags(P, 2) for P in wide] == [(True, False), (False, True), (False, False)]
 
 
 def test_the_cached_reduction_matches_its_body():
@@ -301,15 +333,11 @@ def test_the_reduction_table_holds_at_most_one_entry_per_column():
     assert 0 < branching._reduced.cache_info().currsize <= 2 ** 6
 
 
-def test_the_staircase_table_holds_one_entry_per_column_lengths():
-    branching._staircase_columns.cache_clear()
+def test_the_prefix_table_holds_one_entry_per_n():
+    branching._staircase_prefixes.cache_clear()
     verify_sweep(3, 6)
-    lengths = {
-        tuple(map(len, branching._suc_chain(cols)[-1]))
-        for lam in enumerate_partitions(6, 6)
-        for cols in enumerate_columns(lam, 6)
-    }
-    assert branching._staircase_columns.cache_info().currsize == len(lengths)
+    verify_sweep(2, 4)
+    assert branching._staircase_prefixes.cache_info().currsize == 2
 
 
 def test_highest_lowest_flags():

@@ -64,6 +64,15 @@ def test_littlewood_branching_is_the_peeled_restricted_character(time_bound, col
             assert littlewood_branching(lam, n) == reference, (lam, n)
 
 
+def test_littlewood_branching_of_a_tall_column(time_bound):
+    """Lambda^{2n} of GL(2n), the determinant, restricts to the trivial
+    representation of Sp(2n).  Only the 23 mu inside 1^22 are grown, not
+    the 2^22 tuples of parts, and the LR count nests no frame per letter."""
+    time_bound(10)
+    assert littlewood_branching((1,) * 22, 11) == {(): 1}
+    assert littlewood_branching((1,) * 60, 30) == {(): 1}
+
+
 def test_king_modification():
     assert king_modification((2, 1), 2) == (1, (2, 1))
     # Sp(2): sp_(1,1) vanishes (h = 0) and sp_(1,1,1) = e_3 - e_1 = -sp_(1).

@@ -71,6 +71,17 @@ def test_branch_takes_a_shape_of_any_width(capsys, time_bound):
     assert payload["passed"] is True
 
 
+def test_branch_takes_a_shape_of_any_height(capsys, time_bound):
+    """The oracle grows the mu inside 1^60 part by part and counts LR
+    fillings by a transfer over rows, so a one-column shape of 60 boxes
+    (one tableau) nests no frame per letter."""
+    time_bound(30)
+    assert main(["branch", "--n", "30", "--lambda", ",".join(["1"] * 60), "--json"]) == EXIT_PASS
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["sst_total"] == 1
+    assert payload["passed"] is True
+
+
 def test_branch_rejects_long_shape(capsys):
     assert main(["branch", "--n", "2", "--lambda", "1,1,1,1,1"]) == EXIT_USAGE
 

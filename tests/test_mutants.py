@@ -5,12 +5,12 @@ actually calls: characters looks up king_modification,
 even_column_lr_count, king_rows, sp_weight and _strip_transfer by name at
 call time; verify_shape calls the enumerate_columns, dominant_columns,
 _reinserted and staircase_flags that verify binds; branching looks up
-ab_sequences and _reduced, and crystal ab_sequences and _dominance_step,
-by name.  tableaux.enumerate_columns and crystal.dominant_columns each call
-the one search, chains, by the name their own module binds, so a fault of
-the search patches both bindings.  The cold_caches fixture empties every
-table the library keeps, so that a value cached by an earlier sweep cannot
-hide a fault.
+ab_sequences, _reduced and _staircase_prefixes, and crystal ab_sequences
+and _dominance_step, by name.  tableaux.enumerate_columns and
+crystal.dominant_columns each call the one search, chains, by the name
+their own module binds, so a fault of the search patches both bindings.
+The cold_caches fixture empties every table the library keeps, so that a
+value cached by an earlier sweep cannot hide a fault.
 
 A fault is detected when verify_sweep(2, 5) or verify_sweep(3, 4) gives a
 failing report or raises RuntimeError (exit 4 on the command line); a pass
@@ -26,7 +26,7 @@ the check that does see it.
 import math
 from functools import cache
 from itertools import combinations, groupby, islice, product
-from operator import add, le
+from operator import add, le, sub
 
 import pytest
 
@@ -42,6 +42,7 @@ SWEEPS = ((2, 5), (3, 4))
 REFERENCE = {"king_rows", "sp_weight", "_strip_transfer"}
 SP_WEIGHT = characters.sp_weight
 STAIRCASE_FLAGS = verify.staircase_flags
+STAIRCASE_PREFIXES = branching._staircase_prefixes
 AB_SEQUENCES = branching.ab_sequences
 DOMINANCE_STEP = crystal._dominance_step
 ENUMERATE_COLUMNS = verify.enumerate_columns
@@ -122,27 +123,25 @@ def _even_column_lr_count_mutant(lattice: bool, even: bool):
     condition and the even-column content test each kept or dropped."""
 
     def even_column_lr_count(lam, mu):
-        rows = len(lam)
-
-        def fill(r, ends, above, before, count):
-            k = len(ends)
-            if k > r + 1:
-                r, ends, above, before, k = r + 1, [part(mu, r + 2)], ends, count, 1
-            if r == rows:
-                return int(count[::2] == count[1::2] or not even)
-            start, end = ends[-1], lam[r]
-            top = min(end, above[k - 1])
-            if k > 1 and lattice:
-                top = min(top, start + before[k - 2] - before[k - 1])
-            total = 0
-            for e in range(start if k <= r else end, top + 1):
-                grown = count.copy()
-                grown[k - 1] += e - start
-                total += fill(r, ends + [e], above, before, grown)
-            return total
-
-        zero = [0] * (rows + rows % 2)
-        return fill(0, [part(mu, 1)], [part(lam, 1)], zero, zero)
+        state = {((part(lam, 1),), (0,) * (len(lam) + len(lam) % 2)): 1}
+        for r, end in enumerate(lam):
+            step = {}
+            for (above, before), m in state.items():
+                chains = [(part(mu, r + 1),)]
+                for k in range(1, r + 2):
+                    slack = before[k - 2] - before[k - 1] if k > 1 and lattice else end
+                    chains = [
+                        ends + (e,)
+                        for ends in chains
+                        for e in range(
+                            ends[-1] if k <= r else end, min(end, above[k - 1], ends[-1] + slack) + 1
+                        )
+                    ]
+                for ends in chains:
+                    count = (*map(add, before, map(sub, ends[1:], ends)), *before[r + 1 :])
+                    step[ends, count] = step.get((ends, count), 0) + m
+            state = step
+        return sum(m for (_, count), m in state.items() if count[::2] == count[1::2] or not even)
 
     return even_column_lr_count
 
@@ -173,6 +172,10 @@ def _chains_without_each_last_batch_end(lengths, children, root):
         yield from list(batch)[:-1]
 
 
+def _staircase_prefixes_without_n_entries(n):
+    return tuple(frozenset(col for col in side if len(col) < n) for side in STAIRCASE_PREFIXES(n))
+
+
 def _dominance_step_without_its_zero_sentinel(col, m, n):
     # A sentinel of -inf never bounds the last coordinate, so it may turn negative.
     return DOMINANCE_STEP(col, m[:n] + (-math.inf,), n)
@@ -201,6 +204,11 @@ DETECTED = {
         verify,
         "staircase_flags",
         lambda P, n: STAIRCASE_FLAGS(P[:1], n),
+    ),
+    "the staircase prefix table without its n-entry prefixes": (
+        branching,
+        "_staircase_prefixes",
+        _staircase_prefixes_without_n_entries,
     ),
     "ab_sequences with a and b swapped": (
         branching,
