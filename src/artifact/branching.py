@@ -8,6 +8,7 @@ chain at which the box disappeared from the shape.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cache
 
 from .crystal import (
@@ -18,12 +19,15 @@ from .crystal import (
     tableau_f_max,
     tableau_phi,
 )
-from .shapes import Partition, canonical, part
+from .shapes import Partition, canonical, conjugate, part
 from .tableaux import (
     Column,
     Rows,
+    after,
+    chains,
+    column_pass,
+    column_product,
     columns_of,
-    insert_into_columns,
     rows_of,
     shape,
     single_column,
@@ -72,9 +76,7 @@ def _suc_chain(cols: list[Column]) -> list[list[Column]]:
     for _ in range(sum(map(len, cols)) + 2):
         if not cols or (kept := _reinserted(cols[0])) is None:
             return chain
-        cols = cols[1:]
-        for m in kept:
-            insert_into_columns(m, cols)
+        cols = column_product(kept, cols[1:])
         chain.append(cols)
     raise RuntimeError("suc did not stabilize within the size budget")
 
@@ -138,6 +140,40 @@ def staircase_flags(P: list[Column], n: int) -> tuple[bool, bool]:
     entries.  The empty P is both."""
     A, B = _staircase_prefixes(n)
     return A.issuperset(P), B.issuperset(P)
+
+
+def _chain_step(state: tuple, col: Column, prefixes: tuple) -> tuple | None:
+    """The suc chain's state after T's next column col, or None once P can be
+    neither staircase.  state: the entries in flight toward each level's
+    next column, whether the last level is P, and whether every column of P
+    so far is an a-prefix, resp. a b-prefix.  Each level passes col, after
+    one column_pass, to the next; the last level's column is final, and its
+    first one either makes it P or starts a level."""
+    flights, is_p, hi, lo = state
+    moved = []
+    for entries in flights:
+        col, entries = column_pass(col, entries)
+        moved.append(entries)
+    if not is_p and (kept := _reinserted(col)) is not None:
+        return (*moved, kept), False, True, True
+    hi, lo = hi and col in prefixes[0], lo and col in prefixes[1]
+    return (tuple(moved), True, hi, lo) if hi or lo else None
+
+
+def staircase_search(lam: Partition, n: int) -> Iterator[list[Column]]:
+    """enumerate_columns(lam, 2n), in order, less tableaux that a prefix shows
+    have neither staircase as P: the chains of (column, _chain_step state)
+    nodes over after.  Every tableau whose P is a staircase is kept."""
+    prefixes = _staircase_prefixes(n)
+
+    def children(node: tuple, k: int) -> list[tuple]:
+        left, state = node
+        return [
+            (col, s) for col in after(left, k, 2 * n) if (s := _chain_step(state, col, prefixes))
+        ]
+
+    found = chains(conjugate(canonical(lam)), children, ((), ((), False, True, True)))
+    return ([col for col, _ in chain] for chain in found)
 
 
 def p_aii_range(T: Rows, a: int, b: int) -> Rows:

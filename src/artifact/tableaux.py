@@ -61,26 +61,6 @@ def row_word(T: Rows) -> list[int]:
     return [e for row in reversed(T) for e in row]
 
 
-def insert_into_rows(m: int, rows: Rows) -> None:
-    """Row-insert m into semistandard rows in place, bumping the leftmost
-    entry > m of each row."""
-    for row in rows:
-        x = bisect_right(row, m)
-        if x == len(row):
-            row.append(m)
-            return
-        row[x], m = m, row[x]
-    rows.append([m])
-
-
-def insertion_tableau(word) -> Rows:
-    """Row-insert the letters of the word, first to last, into one tableau."""
-    T: Rows = []
-    for m in word:
-        insert_into_rows(m, T)
-    return T
-
-
 def columns_of(T: Rows) -> list[Column]:
     """Columns of T, each top to bottom; ValueError unless T is semistandard."""
     if not validate_ssyt(T):
@@ -102,16 +82,36 @@ def single_column(C: Rows) -> Column:
     return cols[0] if cols else ()
 
 
-def insert_into_columns(m: int, cols: list[Column]) -> None:
-    """Column-insert m >= 1 into semistandard columns in place, bumping the
-    topmost entry >= m of each column; the result is semistandard."""
-    for x, col in enumerate(cols):
+@cache
+def column_pass(col: Column, entries: Column) -> tuple[Column, Column]:
+    """(The column, the entries it bumps out in order) after column-inserting
+    the entries, first to last: each replaces the topmost entry >= it, or
+    goes at the bottom.  Cached, one entry per (column, entries)."""
+    col, bumped = list(col), []
+    for m in entries:
         y = bisect_left(col, m)
         if y == len(col):
-            cols[x] = col + (m,)
-            return
-        cols[x], m = col[:y] + (m,) + col[y + 1 :], col[y]
-    cols.append((m,))
+            col.append(m)
+        else:
+            bumped.append(col[y])
+            col[y] = m
+    return tuple(col), tuple(bumped)
+
+
+def column_product(entries: Column, cols: list[Column]) -> list[Column]:
+    """The columns of C * S, unchecked, for C with these entries and S these
+    columns: each column takes one column_pass of what the one before bumped
+    out, in order, and what passes the last makes new columns."""
+    out = []
+    for x, col in enumerate(cols):
+        if not entries:
+            return out + cols[x:]
+        col, entries = column_pass(col, entries)
+        out.append(col)
+    while entries:
+        col, entries = column_pass((), entries)
+        out.append(col)
+    return out
 
 
 def column_star(C: Rows, S: Rows) -> Rows:
@@ -120,10 +120,7 @@ def column_star(C: Rows, S: Rows) -> Rows:
     C must be a single column (one box per row, strictly increasing, entries
     >= 1) and S semistandard; ValueError otherwise.
     """
-    col, cols = single_column(C), columns_of(S)
-    for m in col:
-        insert_into_columns(m, cols)
-    return rows_of(cols)
+    return rows_of(column_product(single_column(C), columns_of(S)))
 
 
 def chains(lengths: tuple[int, ...], children: Callable[..., list], root) -> Iterator[list]:
@@ -163,17 +160,33 @@ def chains(lengths: tuple[int, ...], children: Callable[..., list], root) -> Ite
         cands = children(node, lengths[x + 1])
 
 
+@cache
+def after(left: Column, k: int, m: int) -> list[Column]:
+    """The strictly increasing k-tuples over [1, m] row-wise >= left, in
+    lexicographic order, as tuples shared with after((), k, m); cached."""
+    cols = after((), k, m) if left else combinations(range(1, m + 1), k)
+    return [col for col in cols if all(map(le, left, col))]
+
+
 def enumerate_columns(lam: Partition, m: int) -> Iterator[list[Column]]:
     """All semistandard tableaux of shape lam over [1, m] as column lists, a
     chain of strictly increasing tuples each row-wise >= its left neighbour,
     in lexicographic order of the column reading sequence: the chains from
     () of the relation after."""
+    return chains(conjugate(canonical(lam)), lambda left, k: after(left, k, m), ())
 
-    @cache
-    def after(left: Column, k: int) -> list[Column]:
-        return [col for col in combinations(range(1, m + 1), k) if all(map(le, left, col))]
 
-    return chains(conjugate(canonical(lam)), after, ())
+def count_columns(lam: Partition, m: int) -> int:
+    """How many tableaux enumerate_columns(lam, m) yields, by a transfer over
+    after: a dict from the last column to its number of chains."""
+    ends = {(): 1}
+    for k in conjugate(canonical(lam)):
+        step: dict[Column, int] = {}
+        for left, count in ends.items():
+            for col in after(left, k, m):
+                step[col] = step.get(col, 0) + count
+        ends = step
+    return sum(ends.values())
 
 
 def enumerate_ssyt(lam: Partition, m: int) -> Iterator[Rows]:

@@ -9,15 +9,15 @@ import time
 from collections import Counter, namedtuple
 from itertools import accumulate
 
-from .branching import _reinserted, _suc_chain, staircase_flags
+from .branching import _suc_chain, staircase_flags, staircase_search
 from .characters import littlewood_branching, sp_dimension
 from .crystal import dominant_columns, wt_ghat, wt_k
 from .promotion import _pr_flat, _pr_inv_flat, _tables, phi, psi
 from .shapes import Partition, canonical, conjugate, enumerate_partitions, format_partition
 from .tableaux import (
     Rows,
+    count_columns,
     count_ssyt,
-    enumerate_columns,
     enumerate_ssyt,
     freeze,
     rows_of,
@@ -65,27 +65,17 @@ class VerificationReport(namedtuple(
 
 
 def verify_shape(lam: Partition, n: int) -> VerificationReport:
-    """Classify each tableau of shape lam once, count the classes per mu and
+    """Classify the tableaux of shape lam, count the classes per mu and
     compare with the character oracle; only kept tableaux get rows.  The
-    dominant tableaux come from their own pruned search.  The walk yields
-    the tableaux in runs with one first column, and P is decided once per
-    run: with nothing removable from that column, each tableau of the run is
-    its own P, and none is highest or lowest unless that column is itself
-    a staircase column."""
+    dominant tableaux come from their own pruned search, and the highest
+    and lowest from staircase_search, which cuts a tableau once a column of
+    its P is a prefix of neither staircase: each tableau it keeps gets one
+    suc chain.  The tableaux are counted by count_columns, not listed."""
     start = time.perf_counter()
     dominant = [rows_of(cols) for cols in dominant_columns(lam, n)]
     highest, lowest = [], []
-    total = 0
-    first, fixed, skip = None, False, False
-    for cols in enumerate_columns(lam, 2 * n):
-        total += 1
-        if cols and cols[0] is not first:  # a new run: its tableaux share one tuple
-            first = cols[0]
-            fixed = _reinserted(first) is None
-            skip = fixed and not any(staircase_flags([first], n))
-        if skip:
-            continue
-        P = cols if fixed else _suc_chain(cols)[-1]
+    for cols in staircase_search(lam, n):
+        P = _suc_chain(cols)[-1]
         is_highest, is_lowest = staircase_flags(P, n)
         if is_highest:
             highest.append((rows_of(cols), rows_of(P)))
@@ -106,7 +96,7 @@ def verify_shape(lam: Partition, n: int) -> VerificationReport:
         n=n,
         lam=lam,
         rows=rows,
-        sst_total=total,
+        sst_total=count_columns(lam, 2 * n),
         sp_dim_sum=sp_dim_sum,
         dominant=dominant,
         highest=highest,

@@ -1,9 +1,10 @@
 """Tableau and shape helpers that only the tests use."""
 
 import random
+from bisect import bisect_right
 from collections import Counter
 
-from artifact import branching, characters, crystal, promotion
+from artifact import branching, characters, crystal, promotion, tableaux
 from artifact.branching import _recording, _suc_chain, staircase_flags
 from artifact.characters import (
     decompose,
@@ -20,8 +21,6 @@ from artifact.tableaux import (
     content,
     enumerate_columns,
     freeze,
-    insert_into_rows,
-    insertion_tableau,
     rows_of,
     shape,
 )
@@ -36,6 +35,8 @@ SWEEP_CACHES = (
     branching._staircase_prefixes,
     crystal._dominance_step,
     promotion._tables,
+    tableaux.after,
+    tableaux.column_pass,
 )
 
 
@@ -49,6 +50,26 @@ def is_k_lowest(T: Rows, n: int) -> bool:
     return staircase_flags(_suc_chain(columns_of(T))[-1], n)[1]
 
 
+def insert_into_rows(m: int, rows: Rows) -> None:
+    """Row-insert m into semistandard rows in place, bumping the leftmost
+    entry > m of each row."""
+    for row in rows:
+        x = bisect_right(row, m)
+        if x == len(row):
+            row.append(m)
+            return
+        row[x], m = m, row[x]
+    rows.append([m])
+
+
+def insertion_tableau(word) -> Rows:
+    """Row-insert the letters of the word, first to last, into one tableau."""
+    T: Rows = []
+    for m in word:
+        insert_into_rows(m, T)
+    return T
+
+
 def schensted_insert(m: int, T: Rows) -> Rows:
     """Row-insert m into a copy of the semistandard T (classical bumping)."""
     out = [list(row) for row in T]
@@ -59,6 +80,53 @@ def schensted_insert(m: int, T: Rows) -> Rows:
 def knuth_equivalent(w1, w2) -> bool:
     """Words are Knuth equivalent iff their insertion tableaux coincide."""
     return insertion_tableau(w1) == insertion_tableau(w2)
+
+
+def column_word(T: Rows) -> list[int]:
+    """Read the leftmost column first, each column bottom to top."""
+    return [e for col in columns_of(T) for e in reversed(col)]
+
+
+def berele_insertion(word) -> Rows:
+    """Berele's symplectic insertion of the word (A. Berele, J. Combin.
+    Theory A 43, 1986), in King's alphabet: 2k - 1 is k and 2k is k-bar.
+    Each letter is row-inserted, bumping the leftmost entry greater than it,
+    except that where x = 2i - 1 would bump y = 2i from row i, x takes y's
+    place, box (1, i) is emptied, the hole slides out by jeu de taquin (the
+    smaller of its right and lower neighbours moves in, the lower one on a
+    tie) and the letter's insertion stops."""
+    T: Rows = []
+    for x in word:
+        for i, row in enumerate(T, start=1):
+            j = bisect_right(row, x)
+            if j == len(row):
+                row.append(x)
+                break
+            if x == 2 * i - 1 and row[j] == 2 * i:
+                row[j] = x
+                _slide_out_hole(T, i - 1, 0)
+                break
+            row[j], x = x, row[j]
+        else:
+            T.append([x])
+    return T
+
+
+def _slide_out_hole(T: Rows, r: int, c: int) -> None:
+    """Slide out the hole at row r, column c (0-based) of T in place, and
+    delete the box where it stops."""
+    while True:
+        right = T[r][c + 1] if c + 1 < len(T[r]) else None
+        below = T[r + 1][c] if r + 1 < len(T) and c < len(T[r + 1]) else None
+        if right is None and below is None:
+            del T[r][c]
+            if not T[r]:
+                del T[r]
+            return
+        if below is None or (right is not None and right < below):
+            T[r][c], c = right, c + 1
+        else:
+            T[r][c], r = below, r + 1
 
 
 def column_insert(m: int, T: Rows) -> Rows:

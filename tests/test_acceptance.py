@@ -45,7 +45,6 @@ from artifact.shapes import enumerate_partitions
 from artifact.tableaux import (
     column_star,
     enumerate_ssyt,
-    insertion_tableau,
     row_word,
     shape,
     validate_ssyt,
@@ -61,6 +60,7 @@ from artifact.verify import (
 )
 from helpers import (
     column_to_rows,
+    insertion_tableau,
     is_k_highest,
     is_k_lowest,
     knuth_equivalent,

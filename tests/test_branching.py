@@ -22,25 +22,30 @@ from artifact.branching import (
     red,
     rem,
     staircase_flags,
+    staircase_search,
     suc,
 )
 from artifact.crystal import ab_sequences, is_ghat_dominant
 from artifact.shapes import conjugate, enumerate_partitions
 from artifact.tableaux import (
     columns_of,
+    count_columns,
     enumerate_columns,
     enumerate_spt,
     enumerate_ssyt,
     freeze,
+    row_word,
     rows_of,
     shape,
     validate_ssyt,
 )
 from artifact.verify import random_ssyt, verify_sweep
 from helpers import (
+    berele_insertion,
     branching_multiplicity,
     column_insert,
     column_to_rows,
+    column_word,
     first_column,
     is_k_highest,
     is_k_lowest,
@@ -186,6 +191,43 @@ def test_kernel_matches_reference_rank4(rng, size):
     """The same on random tableaux over [1, 8] of up to 12 boxes."""
     shapes = [lam for lam in enumerate_partitions(size, 8) if sum(lam) == size]
     _assert_matches_reference(random_ssyt(rng.choice(shapes), 8, rng))
+
+
+def test_p_is_berele_insertion_of_both_reading_words():
+    """P, the last tableau of the suc chain, equals Berele's symplectic
+    insertion, which shares no code with column insertion, of the row word
+    and of the column word on every tableau of (2, <= 8), (3, <= 6) and
+    (4, <= 5)."""
+    checked = 0
+    for n, size in ((2, 8), (3, 6), (4, 5)):
+        for lam in enumerate_partitions(size, 2 * n):
+            for cols in enumerate_columns(lam, 2 * n):
+                T, P = rows_of(cols), rows_of(branching._suc_chain(cols)[-1])
+                assert berele_insertion(row_word(T)) == P == berele_insertion(column_word(T)), T
+                checked += 1
+    assert checked == 21866
+
+
+def _staircase_p(found, n):
+    """The column lists whose P, by one suc chain each, is a staircase."""
+    return [cols for cols in found if any(staircase_flags(branching._suc_chain(cols)[-1], n))]
+
+
+@pytest.mark.parametrize("n, max_size", [(1, 10), (2, 10), (3, 7), (4, 6)])
+def test_the_staircase_search_keeps_the_staircase_tableaux_of_the_walk(n, max_size):
+    """On every shape, staircase_search yields a sublist of the walk with the
+    same tableaux whose P is a staircase, list and order, and count_columns
+    equals the walk's length; over the sweep the search cuts most of the
+    walk."""
+    searched = walked = 0
+    for lam in enumerate_partitions(max_size, 2 * n):
+        walk, search = list(enumerate_columns(lam, 2 * n)), list(staircase_search(lam, n))
+        rest = iter(walk)
+        assert all(cols in rest for cols in search), lam
+        assert _staircase_p(search, n) == _staircase_p(walk, n), lam
+        assert count_columns(lam, 2 * n) == len(walk), lam
+        searched, walked = searched + len(search), walked + len(walk)
+    assert searched < walked / 2
 
 
 def test_p_aii_rejects_non_semistandard_input():

@@ -118,7 +118,8 @@ def test_branch_budget(capsys, monkeypatch, time_bound):
 
     # Counted by the hook-content formula before any tableau is enumerated.
     assert count_ssyt((8, 4, 2), 8) == 7_567_560
-    monkeypatch.setattr(verify, "enumerate_columns", no_enumeration)
+    for walk in ("dominant_columns", "staircase_search", "count_columns"):
+        monkeypatch.setattr(verify, walk, no_enumeration)
     assert main(["branch", "--n", "4", "--lambda", "8,4,2", "--budget", "1000000"]) == EXIT_BUDGET
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -3,12 +3,14 @@
 Each fault replaces, by monkeypatch, the module global that the library
 actually calls: characters looks up king_modification,
 even_column_lr_count, king_rows, sp_weight and _strip_transfer by name at
-call time; verify_shape calls the enumerate_columns, dominant_columns,
-_reinserted and staircase_flags that verify binds; branching looks up
-ab_sequences, _reduced and _staircase_prefixes, and crystal ab_sequences
-and _dominance_step, by name.  tableaux.enumerate_columns and
-crystal.dominant_columns each call the one search, chains, by the name
-their own module binds, so a fault of the search patches both bindings.
+call time; verify_shape calls the dominant_columns, staircase_search,
+count_columns and staircase_flags that verify binds; branching looks up
+ab_sequences, _reduced, _reinserted, _chain_step and _staircase_prefixes,
+and crystal ab_sequences and _dominance_step, by name.  tableaux's
+enumerators and branching.staircase_search and crystal.dominant_columns
+each call the one search, chains, and tableaux.column_product and
+branching._chain_step the one column pass, column_pass, by the name their
+own module binds, so a fault of either patches both bindings.
 The cold_caches fixture empties every table the library keeps, so that a
 value cached by an earlier sweep cannot hide a fault.
 
@@ -24,6 +26,7 @@ the check that does see it.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import combinations, groupby, islice, product
 from operator import add, le, sub
@@ -45,7 +48,10 @@ STAIRCASE_FLAGS = verify.staircase_flags
 STAIRCASE_PREFIXES = branching._staircase_prefixes
 AB_SEQUENCES = branching.ab_sequences
 DOMINANCE_STEP = crystal._dominance_step
-ENUMERATE_COLUMNS = verify.enumerate_columns
+STAIRCASE_SEARCH = verify.staircase_search
+COUNT_COLUMNS = verify.count_columns
+REINSERTED = branching._reinserted
+COLUMN_PASS = tableaux.column_pass
 CHAINS = tableaux.chains
 
 
@@ -166,6 +172,52 @@ def _dominant_columns_mutant(bounded: bool):
     return dominant_columns
 
 
+def _column_pass_mutant(bisect):
+    """The body of tableaux.column_pass, each entry placed by this bisect."""
+
+    def column_pass(col, entries):
+        col, bumped = list(col), []
+        for m in entries:
+            y = bisect(col, m)
+            if y == len(col):
+                col.append(m)
+            else:
+                bumped.append(col[y])
+                col[y] = m
+        return tuple(col), tuple(bumped)
+
+    return column_pass
+
+
+def _column_pass_dropping_its_last_bumped_entry(col, entries):
+    col, bumped = COLUMN_PASS(col, entries)
+    return col, bumped[:-1]
+
+
+def _chain_step_mutant(early: bool, both: bool):
+    """The body of branching._chain_step, a new level taken as P before its
+    first column is tested (early) and a node kept only while both flags
+    hold (both)."""
+
+    def chain_step(state, col, prefixes):
+        flights, is_p, hi, lo = state
+        moved = []
+        for entries in flights:
+            col, entries = branching.column_pass(col, entries)
+            moved.append(entries)
+        if not is_p and (kept := branching._reinserted(col)) is not None:
+            return (*moved, kept), early, True, True
+        hi, lo = hi and col in prefixes[0], lo and col in prefixes[1]
+        return (tuple(moved), True, hi, lo) if (hi and lo if both else hi or lo) else None
+
+    return chain_step
+
+
+def _reinserted_bottom_first(col):
+    kept = REINSERTED(col)
+    return None if kept is None else kept[::-1]
+
+
 def _chains_without_each_last_batch_end(lengths, children, root):
     # The chains that share all but their last node come as one batch.
     for _, batch in groupby(CHAINS(lengths, children, root), key=lambda chain: chain[:-1]):
@@ -228,19 +280,49 @@ DETECTED = {
         _dominant_columns_mutant(bounded=False),
     ),
     "the chain search losing the last chain of each last-level batch": (
-        (tableaux, crystal),
+        (tableaux, crystal, branching),
         "chains",
         _chains_without_each_last_batch_end,
     ),
     "the first-column shortcut taken for every first column": (
-        verify,
+        branching,
         "_reinserted",
         lambda col: None,
     ),
+    "the kept entries reinserted bottom first": (
+        branching,
+        "_reinserted",
+        _reinserted_bottom_first,
+    ),
     "one dropped tableau per shape": (
         verify,
-        "enumerate_columns",
-        lambda lam, m: islice(ENUMERATE_COLUMNS(lam, m), 1, None),
+        "staircase_search",
+        lambda lam, n: islice(STAIRCASE_SEARCH(lam, n), 1, None),
+    ),
+    "the tableau count losing one chain": (
+        verify,
+        "count_columns",
+        lambda lam, m: COUNT_COLUMNS(lam, m) - 1,
+    ),
+    "the column pass dropping its last bumped entry": (
+        (tableaux, branching),
+        "column_pass",
+        _column_pass_dropping_its_last_bumped_entry,
+    ),
+    "column insertion bumping the topmost entry > m (bisect_right)": (
+        (tableaux, branching),
+        "column_pass",
+        _column_pass_mutant(bisect_right),
+    ),
+    "the chain pipeline taking a new level as P before its first column": (
+        branching,
+        "_chain_step",
+        _chain_step_mutant(early=True, both=False),
+    ),
+    "the staircase search cutting a node unless both flags hold": (
+        branching,
+        "_chain_step",
+        _chain_step_mutant(early=False, both=True),
     ),
     "wt_k reading b for a": (crystal, "ab_sequences", lambda n: (AB_SEQUENCES(n)[1],) * 2),
     "King's modification without its sign": (
@@ -345,6 +427,26 @@ def test_the_dominant_search_mutant_with_its_bound_is_the_search():
     for n, size in SWEEPS:
         for lam in enumerate_partitions(size, 2 * n):
             assert copy(lam, n) == crystal.dominant_columns(lam, n), lam
+
+
+def test_the_insertion_mutants_without_their_faults_are_the_rule(monkeypatch):
+    """The copied bodies differ from tableaux.column_pass and
+    branching._chain_step only in their switches, so each detected mutant
+    is its one fault and nothing else: the copies give the same column
+    passes and, patched in, the same staircase search."""
+    copy = _column_pass_mutant(bisect_left)
+    for k in range(5):
+        for col in combinations(range(1, 7), k):
+            for entries in product(range(1, 7), repeat=2):
+                assert copy(col, entries) == tableaux.column_pass(col, entries), (col, entries)
+    searches = {
+        (lam, n): list(branching.staircase_search(lam, n))
+        for n, size in SWEEPS
+        for lam in enumerate_partitions(size, 2 * n)
+    }
+    monkeypatch.setattr(branching, "_chain_step", _chain_step_mutant(early=False, both=False))
+    for (lam, n), search in searches.items():
+        assert list(branching.staircase_search(lam, n)) == search, (lam, n)
 
 
 def test_the_littlewood_mutants_without_their_faults_are_the_rule():

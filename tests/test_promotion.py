@@ -24,9 +24,9 @@ from artifact.promotion import (
     rows_from_cells,
 )
 from artifact.shapes import enumerate_partitions
-from artifact.tableaux import enumerate_ssyt, insertion_tableau, row_word, validate_ssyt
+from artifact.tableaux import enumerate_ssyt, row_word, validate_ssyt
 from artifact.verify import random_ssyt
-from helpers import random_shape, skew_row_word
+from helpers import insertion_tableau, random_shape, skew_row_word
 
 
 def test_cells_rows_roundtrip():

@@ -19,7 +19,6 @@ from artifact.tableaux import (
     enumerate_spt,
     enumerate_ssyt,
     freeze,
-    insertion_tableau,
     row_word,
     rows_of,
     shape,
@@ -30,6 +29,7 @@ from helpers import (
     column_to_rows,
     count_entry,
     first_column,
+    insertion_tableau,
     inverse_column_word,
     is_symplectic,
     knuth_equivalent,

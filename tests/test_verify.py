@@ -8,10 +8,10 @@ import random
 
 import pytest
 
-from artifact import characters, crystal, tableaux, verify
+from artifact import branching, characters, crystal, tableaux, verify
 from artifact.branching import p_aii
 from artifact.crystal import is_ghat_dominant
-from artifact.cli import EXIT_FAIL, main
+from artifact.cli import EXIT_FAIL, EXIT_PASS, main
 from artifact.shapes import enumerate_partitions
 from artifact.tableaux import enumerate_ssyt
 from artifact.verify import (
@@ -53,6 +53,20 @@ def test_verify_shape_matches_its_former_body(n, max_size, cold_caches):
         cached.cache_clear()
     for report, lam in zip(reports, shapes):
         assert report._replace(elapsed=0.0) == verify_shape_reference(lam, n), lam
+
+
+def test_a_wide_shape_is_verified_without_its_tableaux(capsys, time_bound):
+    """(3000,) over [1, 4] has 4,509,005,501 tableaux: the count is a transfer
+    over the last column, and each row is its own P, so the staircase search
+    keeps the row of 2s and the row of 1s and cuts every other row at its
+    first column that is neither.  The command line takes (3000,) at n = 1."""
+    time_bound(10)
+    report = verify_shape((3000,), 2)
+    assert report.passed
+    assert report.sst_total == 4_509_005_501
+    assert (len(report.highest), len(report.lowest)) == (1, 1)
+    assert main(["branch", "--n", "1", "--lambda", "3000"]) == EXIT_PASS
+    assert "3000\t3000\t1\t1\t1\t1\t1\tok" in capsys.readouterr().out
 
 
 def test_bijection_suite_catches_a_wrong_phi(monkeypatch):
@@ -119,12 +133,19 @@ def _without_shape_22(function, empty):
     return lambda lam, *rest: empty() if tuple(lam) == (2, 2) else function(lam, *rest)
 
 
-def _drop_shape_22_from_the_model_walks(monkeypatch):
-    """Shape (2, 2) missing from enumerate_columns, which the highest,
-    lowest and recording models walk, and from the dominant search."""
+def _drop_shape_22_from_the_enumerator(monkeypatch):
+    """Shape (2, 2) missing from the staircase search, which the highest,
+    lowest and recording models walk, and from the tableau count."""
     monkeypatch.setattr(
-        verify, "enumerate_columns", _without_shape_22(tableaux.enumerate_columns, tuple)
+        verify, "staircase_search", _without_shape_22(branching.staircase_search, tuple)
     )
+    monkeypatch.setattr(verify, "count_columns", _without_shape_22(tableaux.count_columns, int))
+
+
+def _drop_shape_22_from_the_model_walks(monkeypatch):
+    """Shape (2, 2) missing from the staircase search and the tableau count,
+    and from the dominant search."""
+    _drop_shape_22_from_the_enumerator(monkeypatch)
     monkeypatch.setattr(
         verify, "dominant_columns", _without_shape_22(crystal.dominant_columns, list)
     )
@@ -176,14 +197,12 @@ def test_shared_fault_on_the_model_side_fails_the_oracle_rows_and_dimension_chec
 def test_a_fault_of_the_enumerator_alone_shows_on_the_dominant_column(
     monkeypatch, capsys, time_bound
 ):
-    """Shape (2, 2) missing from enumerate_columns only: the dominant search
-    walks its own columns, so g_dominant still finds mu = (), (1, 1) and
-    (2, 2) once each, as the oracle does, against 0 in the three models that
-    walk the enumerator."""
+    """Shape (2, 2) missing from the staircase search and the tableau count
+    only: the dominant search walks its own columns, so g_dominant still
+    finds mu = (), (1, 1) and (2, 2) once each, as the oracle does, against
+    0 in the three models that walk the staircase search."""
     time_bound(30)
-    monkeypatch.setattr(
-        verify, "enumerate_columns", _without_shape_22(tableaux.enumerate_columns, tuple)
-    )
+    _drop_shape_22_from_the_enumerator(monkeypatch)
     failing = [r for r in verify_sweep(2, 6) if not r.passed]
     assert [(r.lam, r.sst_total, r.sp_dim_sum) for r in failing] == [((2, 2), 0, 20)]
     assert failing[0].rows == [
