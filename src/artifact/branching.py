@@ -143,27 +143,29 @@ def staircase_flags(P: list[Column], n: int) -> tuple[bool, bool]:
 
 
 def _chain_step(state: tuple, col: Column, prefixes: tuple) -> tuple | None:
-    """The suc chain's state after T's next column col, or None once P can be
-    neither staircase.  state: the entries in flight toward each level's
-    next column, whether the last level is P, and whether every column of P
-    so far is an a-prefix, resp. a b-prefix.  Each level passes col, after
-    one column_pass, to the next; the last level's column is final, and its
-    first one either makes it P or starts a level."""
-    flights, is_p, hi, lo = state
+    """The suc chain's state after T's next column col (() past T's end), or
+    None once P can be neither staircase.  state: the entries in flight
+    toward each level's next column, whether the last level is P, whether
+    P's columns so far are all a-prefixes, resp. b-prefixes, and the column
+    this step gave P, or ().  Each level passes col, after one column_pass,
+    to the next; the last level's first column makes it P or starts a level."""
+    flights, is_p, hi, lo, _ = state
     moved = []
     for entries in flights:
         col, entries = column_pass(col, entries)
         moved.append(entries)
     if not is_p and (kept := _reinserted(col)) is not None:
-        return (*moved, kept), False, True, True
+        return (*moved, kept), False, True, True, ()
     hi, lo = hi and col in prefixes[0], lo and col in prefixes[1]
-    return (tuple(moved), True, hi, lo) if hi or lo else None
+    return (tuple(moved), True, hi, lo, col) if hi or lo else None
 
 
-def staircase_search(lam: Partition, n: int) -> Iterator[list[Column]]:
-    """enumerate_columns(lam, 2n), in order, less tableaux that a prefix shows
-    have neither staircase as P: the chains of (column, _chain_step state)
-    nodes over after.  Every tableau whose P is a staircase is kept."""
+def staircase_search(lam: Partition, n: int) -> Iterator[tuple]:
+    """(T, P, is_a, is_b) as column lists for the T of enumerate_columns(lam,
+    2n), in order, whose P is a staircase: chains of (column, _chain_step
+    state) nodes over after, each finished by feeding () while an entry is in
+    flight, after which a last level not yet P is the empty P; RuntimeError
+    past |T| + 1 levels."""
     prefixes = _staircase_prefixes(n)
 
     def children(node: tuple, k: int) -> list[tuple]:
@@ -172,8 +174,15 @@ def staircase_search(lam: Partition, n: int) -> Iterator[list[Column]]:
             (col, s) for col in after(left, k, 2 * n) if (s := _chain_step(state, col, prefixes))
         ]
 
-    found = chains(conjugate(canonical(lam)), children, ((), ((), False, True, True)))
-    return ([col for col, _ in chain] for chain in found)
+    root = ((), ((), False, True, True, ()))
+    for chain in chains(conjugate(canonical(lam)), children, root):
+        T, states = [col for col, _ in chain], [s for _, s in [root, *chain]]
+        while (state := states[-1]) and any(state[0]):
+            if len(state[0]) > sum(map(len, T)) + 1:
+                raise RuntimeError("suc did not stabilize within the size budget")
+            states.append(_chain_step(state, (), prefixes))
+        if state:
+            yield T, [s[4] for s in states if s[4]], state[2], state[3]
 
 
 def p_aii_range(T: Rows, a: int, b: int) -> Rows:

@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n", type=int, required=True)
     common.add_argument("--json", action="store_true")
     budgeted = argparse.ArgumentParser(add_help=False, parents=[common])
-    budgeted.add_argument("--budget", type=int, default=None, help="cap on enumerated tableaux")
+    budgeted.add_argument("--budget", type=int, default=None, help="cap on the tableau count")
 
     branch = sub.add_parser(
         "branch", parents=[budgeted], help="decompose one shape into symplectic classes"

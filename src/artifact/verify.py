@@ -9,7 +9,7 @@ import time
 from collections import Counter, namedtuple
 from itertools import accumulate
 
-from .branching import _suc_chain, staircase_flags, staircase_search
+from .branching import staircase_search
 from .characters import littlewood_branching, sp_dimension
 from .crystal import dominant_columns, wt_ghat, wt_k
 from .promotion import _pr_flat, _pr_inv_flat, _tables, phi, psi
@@ -27,7 +27,8 @@ from .tableaux import (
 
 
 class BudgetExceeded(Exception):
-    """Raised when a sweep would enumerate more tableaux than allowed."""
+    """Raised when a sweep's shapes hold more tableaux, by the hook-content
+    count, than allowed."""
 
 
 def _tally_key(weight) -> tuple:
@@ -68,19 +69,13 @@ def verify_shape(lam: Partition, n: int) -> VerificationReport:
     """Classify the tableaux of shape lam, count the classes per mu and
     compare with the character oracle; only kept tableaux get rows.  The
     dominant tableaux come from their own pruned search, and the highest
-    and lowest from staircase_search, which cuts a tableau once a column of
-    its P is a prefix of neither staircase: each tableau it keeps gets one
-    suc chain.  The tableaux are counted by count_columns, not listed."""
+    and lowest with their P from staircase_search, whose suc chain runs
+    along its walk.  The tableaux are counted by count_columns, not listed."""
     start = time.perf_counter()
     dominant = [rows_of(cols) for cols in dominant_columns(lam, n)]
-    highest, lowest = [], []
-    for cols in staircase_search(lam, n):
-        P = _suc_chain(cols)[-1]
-        is_highest, is_lowest = staircase_flags(P, n)
-        if is_highest:
-            highest.append((rows_of(cols), rows_of(P)))
-        if is_lowest:
-            lowest.append((rows_of(cols), rows_of(P)))
+    found = [(rows_of(T), rows_of(P), a, b) for T, P, a, b in staircase_search(lam, n)]
+    highest = [(T, P) for T, P, is_highest, _ in found if is_highest]
+    lowest = [(T, P) for T, P, _, is_lowest in found if is_lowest]
     oracle = littlewood_branching(lam, n)
     # One tally per model, in ModelRow's field order; rec is the shape of P.
     tallies = [

@@ -25,6 +25,7 @@ from artifact.branching import (
     staircase_search,
     suc,
 )
+from artifact.characters import littlewood_branching, sp_dimension
 from artifact.crystal import ab_sequences, is_ghat_dominant
 from artifact.shapes import conjugate, enumerate_partitions
 from artifact.tableaux import (
@@ -52,6 +53,7 @@ from helpers import (
     is_symplectic,
     lr_aii_partition,
     rest_columns,
+    schensted_insert,
     young_diagram,
 )
 
@@ -209,25 +211,76 @@ def test_p_is_berele_insertion_of_both_reading_words():
 
 
 def _staircase_p(found, n):
-    """The column lists whose P, by one suc chain each, is a staircase."""
-    return [cols for cols in found if any(staircase_flags(branching._suc_chain(cols)[-1], n))]
+    """(T, P, is_a, is_b) for the column lists T whose P, by one suc chain
+    each, is a staircase, with the flags of staircase_flags."""
+    out = []
+    for cols in found:
+        P = branching._suc_chain(cols)[-1]
+        if any(flags := staircase_flags(P, n)):
+            out.append((cols, P, *flags))
+    return out
 
 
 @pytest.mark.parametrize("n, max_size", [(1, 10), (2, 10), (3, 7), (4, 6)])
 def test_the_staircase_search_keeps_the_staircase_tableaux_of_the_walk(n, max_size):
-    """On every shape, staircase_search yields a sublist of the walk with the
-    same tableaux whose P is a staircase, list and order, and count_columns
-    equals the walk's length; over the sweep the search cuts most of the
-    walk."""
-    searched = walked = 0
+    """On every shape, staircase_search yields exactly the (T, P, is_a, is_b)
+    of the walk's tableaux whose P is a staircase, in walk order, P and the
+    flags as one suc chain and staircase_flags give them; and count_columns
+    equals the walk's length."""
     for lam in enumerate_partitions(max_size, 2 * n):
-        walk, search = list(enumerate_columns(lam, 2 * n)), list(staircase_search(lam, n))
-        rest = iter(walk)
-        assert all(cols in rest for cols in search), lam
-        assert _staircase_p(search, n) == _staircase_p(walk, n), lam
+        walk = list(enumerate_columns(lam, 2 * n))
+        assert list(staircase_search(lam, n)) == _staircase_p(walk, n), lam
         assert count_columns(lam, 2 * n) == len(walk), lam
-        searched, walked = searched + len(search), walked + len(walk)
-    assert searched < walked / 2
+
+
+def test_the_staircase_search_yields_only_staircase_tableaux():
+    """At (3, 8) the search yields the 405 tableaux whose P is a staircase,
+    208 highest and 208 lowest, of the 64,163 it counts."""
+    found = [(a, b) for lam in enumerate_partitions(8, 6) for *_, a, b in staircase_search(lam, 3)]
+    assert (len(found), sum(a for a, _ in found), sum(b for _, b in found)) == (405, 208, 208)
+
+
+def _king_tableau(mu):
+    """K_mu: row y all 2y - 1."""
+    return [[2 * y + 1] * m for y, m in enumerate(mu)]
+
+
+def test_every_king_p_of_shape_mu_sees_the_same_recording_set():
+    """T -> (P, Q) is a bijection onto King(mu) x R(lam, mu): over each of
+    the sp_dimension(mu, n) King tableaux P of shape mu, the Q form one set
+    R, the same over A_mu, B_mu and K_mu, of littlewood_branching(lam, n)[mu]
+    members; at (2, <= 8), (3, <= 6) and (4, <= 5)."""
+    for n, size in ((2, 8), (3, 6), (4, 5)):
+        for lam in enumerate_partitions(size, 2 * n):
+            fibres, total = {}, 0
+            for cols in enumerate_columns(lam, 2 * n):
+                chain = branching._suc_chain(cols)
+                Q = frozenset(branching._recording(chain).items())
+                fibres.setdefault(freeze(rows_of(chain[-1])), set()).add(Q)
+                total += 1
+            assert sum(map(len, fibres.values())) == total, lam
+            R = {}
+            for mu in {shape(P) for P in fibres}:
+                A, B, K = a_staircase(mu, n), b_staircase(mu, n), _king_tableau(mu)
+                R[mu] = fibres[freeze(K)]
+                assert fibres[freeze(A)] == fibres[freeze(B)] == R[mu], (lam, mu)
+                over_mu = [Qs for P, Qs in fibres.items() if shape(P) == mu]
+                assert len(over_mu) == sp_dimension(mu, n), (lam, mu)
+                assert all(Qs == R[mu] for Qs in over_mu), (lam, mu)
+            assert {mu: len(Qs) for mu, Qs in R.items()} == littlewood_branching(lam, n), lam
+
+
+def test_p_extends_on_the_right():
+    """P(T) = P(P(T-) <- c): with c the last column of T and T- the rest,
+    row-inserting c's entries bottom to top into P(T-) gives a tableau of the
+    same P; at (2, <= 7) and (3, <= 5)."""
+    for n, size in ((2, 7), (3, 5)):
+        for lam in enumerate_partitions(size, 2 * n):
+            for cols in enumerate_columns(lam, 2 * n) if lam else ():
+                U = rows_of(branching._suc_chain(cols[:-1])[-1])
+                for m in reversed(cols[-1]):
+                    U = schensted_insert(m, U)
+                assert p_aii(U) == rows_of(branching._suc_chain(cols)[-1]), cols
 
 
 def test_p_aii_rejects_non_semistandard_input():

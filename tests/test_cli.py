@@ -396,6 +396,18 @@ def test_show_reports_a_suc_chain_without_fixed_point(capsys, monkeypatch, time_
     )
 
 
+def test_branch_reports_a_suc_chain_without_fixed_point(capsys, monkeypatch, time_bound):
+    time_bound(10)
+    monkeypatch.setattr(branching, "_reinserted", lambda col: col + (col[-1] + 1,))
+    assert main(["branch", "--n", "2", "--lambda", "2,1"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: suc did not stabilize within the size budget\n"
+        "argv: branch --n 2 --lambda 2,1\n"
+    )
+
+
 def test_output_is_deterministic(capsys):
     main(["branch", "--n", "2", "--lambda", "2,1", "--json"])
     first = capsys.readouterr().out

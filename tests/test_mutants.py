@@ -3,8 +3,8 @@
 Each fault replaces, by monkeypatch, the module global that the library
 actually calls: characters looks up king_modification,
 even_column_lr_count, king_rows, sp_weight and _strip_transfer by name at
-call time; verify_shape calls the dominant_columns, staircase_search,
-count_columns and staircase_flags that verify binds; branching looks up
+call time; verify_shape calls the dominant_columns, staircase_search and
+count_columns that verify binds; branching looks up
 ab_sequences, _reduced, _reinserted, _chain_step and _staircase_prefixes,
 and crystal ab_sequences and _dominance_step, by name.  tableaux's
 enumerators and branching.staircase_search and crystal.dominant_columns
@@ -44,7 +44,6 @@ SWEEPS = ((2, 5), (3, 4))
 # The characters globals that only the test reference calls.
 REFERENCE = {"king_rows", "sp_weight", "_strip_transfer"}
 SP_WEIGHT = characters.sp_weight
-STAIRCASE_FLAGS = verify.staircase_flags
 STAIRCASE_PREFIXES = branching._staircase_prefixes
 AB_SEQUENCES = branching.ab_sequences
 DOMINANCE_STEP = crystal._dominance_step
@@ -64,15 +63,16 @@ def _sp_weight_negated(T, n):
     return tuple(-w for w in SP_WEIGHT(T, n))
 
 
-def _reduced_mutant(parity: int, slack: int):
+def _reduced_mutant(parity: int, slack: int, history: bool = True):
     """The body of branching._reduced, pairing a v of this parity, with the
-    bound on v lowered by slack."""
+    bound on v lowered by slack and with or without its len(before) term."""
 
     def reduced(col):
         before, kept = (), col[:1]
         for k in range(2, len(col) + 1):
             v = col[k - 1]
-            pair = v % 2 == parity and col[k - 2] == v - 1 and v < k + 1 + len(before) - slack
+            bound = k + 1 + (len(before) if history else 0) - slack
+            pair = v % 2 == parity and col[k - 2] == v - 1 and v < bound
             before, kept = kept, before if pair else kept + (v,)
         return kept
 
@@ -194,23 +194,52 @@ def _column_pass_dropping_its_last_bumped_entry(col, entries):
     return col, bumped[:-1]
 
 
-def _chain_step_mutant(early: bool, both: bool):
+def _chain_step_mutant(early: bool = False, both: bool = False, first: bool = False):
     """The body of branching._chain_step, a new level taken as P before its
-    first column is tested (early) and a node kept only while both flags
-    hold (both)."""
+    first column is tested (early), a node kept only while both flags hold
+    (both) and the prefix test made on P's first column only (first)."""
 
     def chain_step(state, col, prefixes):
-        flights, is_p, hi, lo = state
+        flights, is_p, hi, lo, _ = state
         moved = []
         for entries in flights:
             col, entries = branching.column_pass(col, entries)
             moved.append(entries)
         if not is_p and (kept := branching._reinserted(col)) is not None:
-            return (*moved, kept), early, True, True
-        hi, lo = hi and col in prefixes[0], lo and col in prefixes[1]
-        return (tuple(moved), True, hi, lo) if (hi and lo if both else hi or lo) else None
+            return (*moved, kept), early, True, True, ()
+        if not (first and is_p):
+            hi, lo = hi and col in prefixes[0], lo and col in prefixes[1]
+        return (tuple(moved), True, hi, lo, col) if (hi and lo if both else hi or lo) else None
 
     return chain_step
+
+
+def _staircase_search_mutant(flushed: bool = True, wait: bool = False):
+    """The body of branching.staircase_search, with P keeping or losing the
+    columns its finish adds (flushed), and the finish stepping on, or not,
+    until the last level is P as well as nothing is in flight (wait)."""
+
+    def staircase_search(lam, n):
+        prefixes = branching._staircase_prefixes(n)
+
+        def children(node, k):
+            left, state = node
+            cols = tableaux.after(left, k, 2 * n)
+            return [(col, s) for col in cols if (s := branching._chain_step(state, col, prefixes))]
+
+        root = ((), ((), False, True, True, ()))
+        for chain in CHAINS(conjugate(canonical(lam)), children, root):
+            T, states = [col for col, _ in chain], [s for _, s in [root, *chain]]
+            walked = len(states)
+            while (state := states[-1]) and (any(state[0]) or wait and not state[1]):
+                if len(state[0]) > sum(map(len, T)) + 1:
+                    raise RuntimeError("suc did not stabilize within the size budget")
+                states.append(branching._chain_step(state, (), prefixes))
+            if state:
+                P = [s[4] for s in states[: None if flushed else walked] if s[4]]
+                yield T, P, state[2], state[3]
+
+    return staircase_search
 
 
 def _reinserted_bottom_first(col):
@@ -252,10 +281,10 @@ DETECTED = {
         "_strip_transfer",
         _strip_transfer_mutant(1),
     ),
-    "staircase_flags reading only the first column": (
-        verify,
-        "staircase_flags",
-        lambda P, n: STAIRCASE_FLAGS(P[:1], n),
+    "the search's prefix test reading only P's first column": (
+        branching,
+        "_chain_step",
+        _chain_step_mutant(first=True),
     ),
     "the staircase prefix table without its n-entry prefixes": (
         branching,
@@ -269,6 +298,11 @@ DETECTED = {
     ),
     "_reduced bound lowered by 1": (branching, "_reduced", _reduced_mutant(0, 1)),
     "_reduced pairing an odd v": (branching, "_reduced", _reduced_mutant(1, 0)),
+    "_reduced bounding v without its len(before) history": (
+        branching,
+        "_reduced",
+        _reduced_mutant(0, 0, history=False),
+    ),
     "the dominance step without its zero sentinel": (
         crystal,
         "_dominance_step",
@@ -317,12 +351,22 @@ DETECTED = {
     "the chain pipeline taking a new level as P before its first column": (
         branching,
         "_chain_step",
-        _chain_step_mutant(early=True, both=False),
+        _chain_step_mutant(early=True),
     ),
     "the staircase search cutting a node unless both flags hold": (
         branching,
         "_chain_step",
-        _chain_step_mutant(early=False, both=True),
+        _chain_step_mutant(both=True),
+    ),
+    "the search's P losing the columns its finish adds": (
+        verify,
+        "staircase_search",
+        _staircase_search_mutant(flushed=False),
+    ),
+    "the search's finish stepping on until the last level is P": (
+        verify,
+        "staircase_search",
+        _staircase_search_mutant(wait=True),
     ),
     "wt_k reading b for a": (crystal, "ab_sequences", lambda n: (AB_SEQUENCES(n)[1],) * 2),
     "King's modification without its sign": (
@@ -430,10 +474,10 @@ def test_the_dominant_search_mutant_with_its_bound_is_the_search():
 
 
 def test_the_insertion_mutants_without_their_faults_are_the_rule(monkeypatch):
-    """The copied bodies differ from tableaux.column_pass and
-    branching._chain_step only in their switches, so each detected mutant
-    is its one fault and nothing else: the copies give the same column
-    passes and, patched in, the same staircase search."""
+    """The copied bodies differ from tableaux.column_pass,
+    branching._chain_step and branching.staircase_search only in their
+    switches, so each detected mutant is its one fault and nothing else: the
+    copies give the same column passes and the same staircase search."""
     copy = _column_pass_mutant(bisect_left)
     for k in range(5):
         for col in combinations(range(1, 7), k):
@@ -444,7 +488,10 @@ def test_the_insertion_mutants_without_their_faults_are_the_rule(monkeypatch):
         for n, size in SWEEPS
         for lam in enumerate_partitions(size, 2 * n)
     }
-    monkeypatch.setattr(branching, "_chain_step", _chain_step_mutant(early=False, both=False))
+    copy = _staircase_search_mutant()
+    for (lam, n), search in searches.items():
+        assert list(copy(lam, n)) == search, (lam, n)
+    monkeypatch.setattr(branching, "_chain_step", _chain_step_mutant())
     for (lam, n), search in searches.items():
         assert list(branching.staircase_search(lam, n)) == search, (lam, n)
 

@@ -55,6 +55,29 @@ def test_verify_shape_matches_its_former_body(n, max_size, cold_caches):
         assert report._replace(elapsed=0.0) == verify_shape_reference(lam, n), lam
 
 
+def test_the_sweep_runs_no_second_suc_chain(monkeypatch):
+    """P and both staircase flags come from the search's own chain: the
+    sweep passes with the single-tableau suc loop made to raise, wherever a
+    module binds it."""
+
+    def refused(cols):
+        raise AssertionError("verify_shape ran _suc_chain")
+
+    for module in (branching, verify):
+        if hasattr(module, "_suc_chain"):
+            monkeypatch.setattr(module, "_suc_chain", refused)
+    assert all(report.passed for report in verify_sweep(3, 6))
+
+
+def test_verify_shape_reports_a_suc_chain_without_fixed_point(monkeypatch, time_bound):
+    """A reinsertion that always adds an entry makes every first column start
+    one more level: the search's finish stops at the size budget."""
+    time_bound(10)
+    monkeypatch.setattr(branching, "_reinserted", lambda col: col + (col[-1] + 1,))
+    with pytest.raises(RuntimeError, match="^suc did not stabilize within the size budget$"):
+        verify_shape((2, 1), 2)
+
+
 def test_a_wide_shape_is_verified_without_its_tableaux(capsys, time_bound):
     """(3000,) over [1, 4] has 4,509,005,501 tableaux: the count is a transfer
     over the last column, and each row is its own P, so the staircase search
