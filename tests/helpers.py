@@ -24,7 +24,7 @@ from artifact.tableaux import (
     rows_of,
     shape,
 )
-from artifact.verify import ModelRow, VerificationReport, _tally_key
+from artifact.verify import ModelRow, SuiteResult, VerificationReport, _tally_key
 
 # Every module-level functools cache of the library, bound at import so
 # that the originals can be cleared while a test has monkeypatched their
@@ -238,3 +238,63 @@ def verify_shape_reference(lam: Partition, n: int) -> VerificationReport:
     rows = [ModelRow(mu, *(tally[mu] for tally in tallies)) for mu in sorted(set().union(*tallies))]
     sp_dim_sum = sum(m * sp_dimension(mu, n) for mu, m in oracle.items())
     return VerificationReport(n, lam, rows, total, sp_dim_sum, dominant, highest, lowest)
+
+
+def promotion_relations_reference(T: Rows, n: int) -> SuiteResult:
+    """The former body of verify.promotion_relations, calling the kernels
+    that promotion binds: every relation runs the kernels on flat lists,
+    and an image is checked to be semistandard on the first level, on a
+    commutation's left side and wherever its relation fails."""
+    if not tableaux.validate_ssyt(T):
+        raise ValueError(f"not a semistandard tableau: {T}")
+    tables = promotion._tables(tuple(map(len, T)))
+    is_ssyt = tables[3]
+    pr, pr_inv = promotion._pr_flat, promotion._pr_inv_flat
+
+    def differs(U: list[int], V: list[int], name: str = "promotion") -> bool:
+        if U == V:
+            return False
+        if not is_ssyt(U):
+            raise ValueError(f"{name} broke semistandardness")
+        return True
+
+    out = SuiteResult()
+    N = 2 * n
+    windows = [(a, b) for a in range(1, N + 1) for b in range(a, N + 1)]
+    E = [e for row in T for e in row]
+    up = {w: pr(E, tables, *w) for w in windows}
+    down = {w: pr_inv(E, tables, *w) for w in windows}
+    if not all(map(is_ssyt, up.values())):
+        raise ValueError("promotion broke semistandardness")
+    if not all(map(is_ssyt, down.values())):
+        raise ValueError("inverse promotion broke semistandardness")
+    for a, b in windows:
+        out.checked += 1
+        if differs(pr(down[a, b], tables, a, b), E) or differs(
+            pr_inv(up[a, b], tables, a, b), E, "inverse promotion"
+        ):
+            out.failures.append(f"pr roundtrip fails at {T} window ({a},{b})")
+    for a in range(1, N):
+        out.checked += 1
+        if differs(pr(up[a, a + 1], tables, a, a + 1), E):
+            out.failures.append(f"pr_(a,a+1) not an involution at {T}, a={a}")
+    for a, b in windows:
+        for c in range(b + 2, N + 1):
+            for d in range(c, N + 1):
+                out.checked += 1
+                left = pr(up[c, d], tables, a, b)
+                if not is_ssyt(left):
+                    raise ValueError("promotion broke semistandardness")
+                if differs(pr(up[a, b], tables, c, d), left):
+                    out.failures.append(
+                        f"distant windows ({a},{b}),({c},{d}) do not commute at {T}"
+                    )
+    for a in range(1, N + 1):
+        for b in range(a, N + 1):
+            for c in range(b, N + 1):
+                out.checked += 1
+                if differs(pr(up[b, c], tables, a, b), up[a, c]):
+                    out.failures.append(
+                        f"composition ({a},{b})({b},{c}) != ({a},{c}) at {T}"
+                    )
+    return out

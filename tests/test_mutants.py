@@ -16,16 +16,24 @@ value cached by an earlier sweep cannot hide a fault.
 
 A fault is detected when verify_sweep(2, 5) or verify_sweep(3, 4) gives a
 failing report or raises RuntimeError (exit 4 on the command line); a pass
-or a hang is a miss.  The sweep's oracle is littlewood_branching, so a
-fault in the strip transfer, king_rows or sp_weight, which only the test
-reference decompose(restricted_gl_character(lam, n), n) still runs, is
-detected instead when that reference disagrees with littlewood_branching
-on a shape of the same two sweeps, or raises RuntimeError.  A fault that no
-check can see stays in the table, marked equivalent, with the argument and
-the check that does see it.
+or a hang is a miss.  The suc loop's faults run in a copy of _suc_chain on
+every tableau of the walk, in place of verify's staircase_search.  The
+promotion kernels' faults patch the kernel in promotion and in verify, and
+are detected instead when promotion_suite_exhaustive(2, 4) or
+promotion_suite_random(3, 50, 7) reports a failure or raises the kernels'
+"broke semistandardness" ValueError; a wrong phi, when bijection_suite
+fails on a report of the two sweeps.  The sweep's oracle is
+littlewood_branching, so a fault in the strip transfer, king_rows or
+sp_weight, which only the test reference
+decompose(restricted_gl_character(lam, n), n) still runs, is detected
+instead when that reference disagrees with littlewood_branching on a shape
+of the same two sweeps, or raises RuntimeError.  A fault that no check can
+see stays in the table, marked equivalent, with the argument and the check
+that does see it.
 """
 
 import math
+import random
 from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import combinations, groupby, islice, product
@@ -36,9 +44,14 @@ import pytest
 from artifact import branching, characters, cli, crystal, promotion, shapes, tableaux, verify
 from artifact.characters import decompose, littlewood_branching, restricted_gl_character
 from artifact.shapes import canonical, conjugate, enumerate_partitions, part
-from artifact.tableaux import content
-from artifact.verify import verify_sweep
-from helpers import SWEEP_CACHES
+from artifact.tableaux import content, enumerate_columns
+from artifact.verify import (
+    bijection_suite,
+    promotion_suite_exhaustive,
+    promotion_suite_random,
+    verify_sweep,
+)
+from helpers import SWEEP_CACHES, promotion_relations_reference, random_shape
 
 SWEEPS = ((2, 5), (3, 4))
 # The characters globals that only the test reference calls.
@@ -52,6 +65,9 @@ COUNT_COLUMNS = verify.count_columns
 REINSERTED = branching._reinserted
 COLUMN_PASS = tableaux.column_pass
 CHAINS = tableaux.chains
+PR_FLAT = promotion._pr_flat
+PR_INV_FLAT = promotion._pr_inv_flat
+PHI = verify.phi
 
 
 def _sp_weight_pairing_2i_minus_1_with_2i_plus_2(T, n):
@@ -63,16 +79,17 @@ def _sp_weight_negated(T, n):
     return tuple(-w for w in SP_WEIGHT(T, n))
 
 
-def _reduced_mutant(parity: int, slack: int, history: bool = True):
+def _reduced_mutant(parity: int, slack: int, history: bool = True, strict: bool = True):
     """The body of branching._reduced, pairing a v of this parity, with the
-    bound on v lowered by slack and with or without its len(before) term."""
+    bound on v lowered by slack, with or without its len(before) term, and
+    met strictly or not."""
 
     def reduced(col):
         before, kept = (), col[:1]
         for k in range(2, len(col) + 1):
             v = col[k - 1]
             bound = k + 1 + (len(before) if history else 0) - slack
-            pair = v % 2 == parity and col[k - 2] == v - 1 and v < bound
+            pair = v % 2 == parity and col[k - 2] == v - 1 and (v < bound if strict else v <= bound)
             before, kept = kept, before if pair else kept + (v,)
         return kept
 
@@ -242,6 +259,109 @@ def _staircase_search_mutant(flushed: bool = True, wait: bool = False):
     return staircase_search
 
 
+def _suc_chain_mutant(last: bool = False, short: bool = False):
+    """The body of branching._suc_chain, with the loop also stopping at a
+    one-column tableau, so its last column is never reduced (last), or at a
+    first column of at most 2 entries (short)."""
+
+    def suc_chain(cols):
+        chain = [cols]
+        for _ in range(sum(map(len, cols)) + 2):
+            if not cols or last and len(cols) == 1 or short and len(cols[0]) <= 2:
+                return chain
+            if (kept := branching._reinserted(cols[0])) is None:
+                return chain
+            cols = tableaux.column_product(kept, cols[1:])
+            chain.append(cols)
+        raise RuntimeError("suc did not stabilize within the size budget")
+
+    return suc_chain
+
+
+def _search_by_suc_chain(suc_chain):
+    """staircase_search's output, from this suc chain run on every tableau
+    of enumerate_columns: the sweep's P made by a copy of the suc loop."""
+
+    def staircase_search(lam, n):
+        for cols in enumerate_columns(lam, 2 * n):
+            P = suc_chain(cols)[-1]
+            is_a, is_b = branching.staircase_flags(P, n)
+            if is_a or is_b:
+                yield cols, P, is_a, is_b
+
+    return staircase_search
+
+
+def _pr_flat_mutant(tie_left: bool = False, reverse: bool = False):
+    """The body of promotion._pr_flat, a tie between the left and the above
+    neighbour won by the left one (tie_left), and the movers taken in
+    reverse order (reverse)."""
+
+    def pr_flat(E, tables, a, b):
+        if a == b:
+            return E[:]
+        left, above, movers = tables[0]
+        W = [e if a <= e < b else 0 for e in E]
+        W.append(0)
+        for i in movers[::-1] if reverse else movers:
+            if E[i] == b:
+                while True:
+                    l, u = left[i], above[i]
+                    lv, uv = W[l], W[u]
+                    if lv > uv or tie_left and lv == uv > 0:
+                        W[i], i = lv, l
+                    elif uv:
+                        W[i], i = uv, u
+                    else:
+                        W[i] = 0
+                        break
+        return [w + 1 if w else a if a <= e <= b else e for w, e in zip(W, E)]
+
+    return pr_flat
+
+
+def _pr_inv_flat_mutant(tie_right: bool = False):
+    """The body of promotion._pr_inv_flat, a tie between the right and the
+    below neighbour won by the right one (tie_right)."""
+
+    def pr_inv_flat(E, tables, a, b):
+        if a == b:
+            return E[:]
+        right, below, movers = tables[1]
+        out = b + 1
+        W = [b if e == a else e - 1 if a < e <= b else out for e in E]
+        W.append(out)
+        for i in movers:
+            if E[i] == a:
+                while True:
+                    r, d = right[i], below[i]
+                    rv, dv = W[r], W[d]
+                    if rv < dv or tie_right and rv == dv < out:
+                        W[i], i = rv, r
+                    elif dv < out:
+                        W[i], i = dv, d
+                    else:
+                        W[i] = b
+                        break
+        return [e if w == out else w for w, e in zip(W, E)]
+
+    return pr_inv_flat
+
+
+def _pr_flat_on_a_shrunk_window(E, tables, a, b):
+    return PR_FLAT(E, tables, a, b - 1 if b - a >= 2 else b)
+
+
+def _pr_flat_on_1_5_for_1_2(E, tables, a, b):
+    return PR_FLAT(E, tables, 1, 5) if (a, b) == (1, 2) else PR_FLAT(E, tables, a, b)
+
+
+def _phi_fixing_a_dominant_tableau(T, n):
+    # [[1, 1], [2]] is the first dominant tableau of shape (2, 1) at n = 2,
+    # and it is not highest there.
+    return T if T == [[1, 1], [2]] else PHI(T, n)
+
+
 def _reinserted_bottom_first(col):
     kept = REINSERTED(col)
     return None if kept is None else kept[::-1]
@@ -368,6 +488,38 @@ DETECTED = {
         "staircase_search",
         _staircase_search_mutant(wait=True),
     ),
+    "the suc loop never reducing the last column": (
+        verify,
+        "staircase_search",
+        _search_by_suc_chain(_suc_chain_mutant(last=True)),
+    ),
+    "the suc loop stopping at a first column of at most 2 entries": (
+        verify,
+        "staircase_search",
+        _search_by_suc_chain(_suc_chain_mutant(short=True)),
+    ),
+    "pr moving left on a tie": ((promotion, verify), "_pr_flat", _pr_flat_mutant(tie_left=True)),
+    "pr with its movers reversed": ((promotion, verify), "_pr_flat", _pr_flat_mutant(reverse=True)),
+    "pr_inv moving right on a tie": (
+        (promotion, verify),
+        "_pr_inv_flat",
+        _pr_inv_flat_mutant(tie_right=True),
+    ),
+    "pr on the window shrunk to (a, b - 1) when b - a >= 2": (
+        (promotion, verify),
+        "_pr_flat",
+        _pr_flat_on_a_shrunk_window,
+    ),
+    "pr on the window (1, 5) for (1, 2)": (
+        (promotion, verify),
+        "_pr_flat",
+        _pr_flat_on_1_5_for_1_2,
+    ),
+    "phi fixing the dominant tableau [[1, 1], [2]]": (
+        verify,
+        "phi",
+        _phi_fixing_a_dominant_tableau,
+    ),
     "wt_k reading b for a": (crystal, "ab_sequences", lambda n: (AB_SEQUENCES(n)[1],) * 2),
     "King's modification without its sign": (
         characters,
@@ -399,6 +551,12 @@ EQUIVALENT = {
     # and s_lam is symmetric in its 2n variables.  So every decomposition
     # is unchanged.
     "sp_weight negated": (characters, "sp_weight", _sp_weight_negated),
+    # The bound k + 1 + len(before) is odd: the removed entries of prefix
+    # k - 2 come in pairs, so len(before) = k - 2 - (an even number), and the
+    # bound is 2k - 1 less that even number.  A paired v is even, so v never
+    # equals the bound and v <= bound is v < bound on every column; the
+    # mutant's own test checks this on every column over [1, 10].
+    "_reduced met with <= for <": (branching, "_reduced", _reduced_mutant(0, 0, strict=False)),
 }
 
 
@@ -412,6 +570,31 @@ def _reference_disagrees() -> bool:
         for n, size in SWEEPS
         for lam in enumerate_partitions(size, 2 * n)
     )
+
+
+def _promotion_suites_fail() -> bool:
+    try:
+        return not (
+            promotion_suite_exhaustive(2, 4).passed and promotion_suite_random(3, 50, 7).passed
+        )
+    except ValueError as error:
+        if "broke semistandardness" not in str(error):
+            raise
+        return True
+
+
+def _bijection_suites_fail() -> bool:
+    return any(
+        not bijection_suite(report).passed for sweep in SWEEPS for report in verify_sweep(*sweep)
+    )
+
+
+# The check that sees a fault of these globals; the sweeps see the others.
+CHECKS = {
+    "_pr_flat": _promotion_suites_fail,
+    "_pr_inv_flat": _promotion_suites_fail,
+    "phi": _bijection_suites_fail,
+}
 
 
 def _detected(check) -> bool:
@@ -428,7 +611,8 @@ def test_mutant_is_detected(name, monkeypatch, time_bound, cold_caches):
     for bound in module if isinstance(module, tuple) else (module,):
         monkeypatch.setattr(bound, glob, replacement)
     in_reference = module is characters and glob in REFERENCE
-    assert _detected(_reference_disagrees if in_reference else _sweeps_fail), name
+    check = _reference_disagrees if in_reference else CHECKS.get(glob, _sweeps_fail)
+    assert _detected(check), name
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENT))
@@ -509,3 +693,85 @@ def test_the_littlewood_mutants_without_their_faults_are_the_rule():
                 if len(mu) > len(lam) or any(a > b for a, b in zip(mu, lam)):
                     continue
                 assert count(lam, mu) == characters.even_column_lr_count(lam, mu), (lam, mu)
+
+
+def test_the_suc_loop_mutants_without_their_faults_are_the_rule():
+    """The copied body differs from branching._suc_chain only in its
+    switches, and the search it drives gives staircase_search's output, so
+    each detected suc mutant is its one fault and nothing else."""
+    copy = _suc_chain_mutant()
+    for n, size in SWEEPS:
+        for lam in enumerate_partitions(size, 2 * n):
+            for cols in enumerate_columns(lam, 2 * n):
+                assert copy(cols) == branching._suc_chain(cols), cols
+            expected = list(branching.staircase_search(lam, n))
+            assert list(_search_by_suc_chain(copy)(lam, n)) == expected, (lam, n)
+
+
+def test_reduced_with_a_weak_bound_is_reduced_on_every_column():
+    """The argument of the equivalent mutant "_reduced met with <= for <",
+    and the check that the copied body is _reduced: the same output on every
+    column over [1, 2n] for n <= 5, all of them columns over [1, 10]."""
+    copy, weak = _reduced_mutant(0, 0), _reduced_mutant(0, 0, strict=False)
+    for k in range(11):
+        for col in combinations(range(1, 11), k):
+            assert copy(col) == weak(col) == branching._reduced(col), col
+
+
+def _promotion_cases() -> list:
+    """Every tableau of promotion_suite_exhaustive(2, 4) at n = 2, then 200
+    at n = 3 drawn as promotion_suite_random(3, 200, 7) draws them."""
+    cases = [(T, 2) for lam in enumerate_partitions(4, 4) for T in tableaux.enumerate_ssyt(lam, 4)]
+    rng = random.Random(7)
+    return cases + [(verify.random_ssyt(random_shape(8, 6, rng), 6, rng), 3) for _ in range(200)]
+
+
+def test_the_kernel_mutants_without_their_faults_are_the_kernels():
+    """The copied bodies differ from promotion._pr_flat and _pr_inv_flat only
+    in their switches, so each detected kernel mutant is its one fault."""
+    pr_copy, pr_inv_copy = _pr_flat_mutant(), _pr_inv_flat_mutant()
+    for T, n in _promotion_cases():
+        tables = promotion._tables(tuple(map(len, T)))
+        E = [e for row in T for e in row]
+        for a, b in combinations(range(1, 2 * n + 2), 2):
+            assert pr_copy(E, tables, a, b) == PR_FLAT(E, tables, a, b), (T, a, b)
+            assert pr_inv_copy(E, tables, a, b) == PR_INV_FLAT(E, tables, a, b), (T, a, b)
+
+
+# The tableaux of _promotion_cases on which promotion_relations raises, and
+# its failures on the others (the exhaustive ones + the drawn ones), with
+# the true kernels (None) and each kernel fault that gives wrong values.
+PROMOTION_OUTCOMES = {
+    None: (0, 0),
+    "pr moving left on a tie": (64, 5),
+    "pr with its movers reversed": (284, 0),
+    "pr_inv moving right on a tie": (163, 5),
+    "pr on the window shrunk to (a, b - 1) when b - a >= 2": (0, 956 + 3613),
+    "pr on the window (1, 5) for (1, 2)": (0, 712 + 1564),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROMOTION_OUTCOMES, key=str))
+def test_promotion_relations_match_their_former_body(name, monkeypatch, cold_caches):
+    """The interned body gives the same check count and the same failures,
+    in order, or raises the same ValueError, as the former body on every
+    case, with the true kernels and under each value-level kernel fault."""
+    if name is not None:
+        modules, glob, replacement = DETECTED[name]
+        for bound in modules:
+            monkeypatch.setattr(bound, glob, replacement)
+
+    def outcome(relations, T, n):
+        try:
+            result = relations(T, n)
+        except ValueError as error:
+            return str(error)
+        return result.checked, result.failures
+
+    raised = failures = 0
+    for T, n in _promotion_cases():
+        got = outcome(verify.promotion_relations, T, n)
+        assert got == outcome(promotion_relations_reference, T, n), (T, n)
+        raised += isinstance(got, str)
+        failures += 0 if isinstance(got, str) else len(got[1])
+    assert (raised, failures) == PROMOTION_OUTCOMES[name]

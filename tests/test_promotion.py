@@ -26,7 +26,7 @@ from artifact.promotion import (
 from artifact.shapes import enumerate_partitions
 from artifact.tableaux import enumerate_ssyt, row_word, validate_ssyt
 from artifact.verify import random_ssyt
-from helpers import insertion_tableau, random_shape, skew_row_word
+from helpers import SWEEP_CACHES, insertion_tableau, random_shape, skew_row_word
 
 
 def test_cells_rows_roundtrip():
@@ -365,6 +365,42 @@ def test_promotion_relations_check_the_images(monkeypatch, source, window):
     monkeypatch.setattr(verify, "_pr_flat", faulty_pr)
     with pytest.raises(ValueError, match="^promotion broke semistandardness$"):
         verify.promotion_relations(T, 3)
+
+
+def test_promotion_relations_run_each_kernel_input_once(monkeypatch, cold_caches):
+    """Each image of T is computed once per kernel and window: no (kernel,
+    entries, a, b) input repeats within one call, and the check count stays
+    38 at n = 2 and 117 at n = 3.  A second call on T gives the same result,
+    and the only library cache that grows is promotion._tables, by one entry
+    per new shape."""
+    inputs = []
+
+    def recorded(kernel):
+        def run(E, tables, a, b):
+            inputs.append((kernel, tuple(E), a, b))
+            return kernel(E, tables, a, b)
+
+        return run
+
+    monkeypatch.setattr(verify, "_pr_flat", recorded(promotion._pr_flat))
+    monkeypatch.setattr(verify, "_pr_inv_flat", recorded(promotion._pr_inv_flat))
+    rng = random.Random(7)
+    cases = [(T, 2) for lam in enumerate_partitions(3, 4) for T in enumerate_ssyt(lam, 4)]
+    cases += [(random_ssyt(random_shape(8, 6, rng), 6, rng), 3) for _ in range(20)]
+    shapes = set()
+    for T, n in cases:
+        sizes = [cached.cache_info().currsize for cached in SWEEP_CACHES]
+        inputs.clear()
+        first = verify.promotion_relations(T, n)
+        assert len(set(inputs)) == len(inputs), T
+        assert first.checked == {2: 38, 3: 117}[n], T
+        second = verify.promotion_relations(T, n)
+        assert (second.checked, second.failures) == (first.checked, first.failures), T
+        new = tuple(map(len, T)) not in shapes
+        shapes.add(tuple(map(len, T)))
+        grown = [cached.cache_info().currsize - k for cached, k in zip(SWEEP_CACHES, sizes)]
+        expected = [int(new) if cached is promotion._tables else 0 for cached in SWEEP_CACHES]
+        assert grown == expected, T
 
 
 def test_the_per_shape_check_is_validate_ssyt():
