@@ -1,7 +1,8 @@
 """Independent character oracle for the restriction multiplicities.
 
 The oracle is Littlewood's restriction rule with King's modification
-rule, which needs no weights and lists no tableaux.  The characters below
+rule, which needs no weights, lists no tableaux and counts each skew
+diagram's LR sum once per process, cached by skew_key.  The characters below
 it are its test reference: dicts mapping integer weight tuples of length n
 to positive multiplicities, both from one Gelfand-Tsetlin transfer over
 horizontal strips, peeled by decompose.  Nothing here shares code with the
@@ -79,6 +80,35 @@ def even_column_lr_count(lam: Partition, mu: Partition) -> int:
     return sum(m for (_, count), m in state.items() if count[::2] == count[1::2])
 
 
+def skew_key(lam: Partition, mu: Partition) -> tuple:
+    """lam/mu up to translating and reordering its edge-connected components
+    (Macdonald I.5): its nonempty rows (mu_r, lam_r), cut where lam_(r+1) <=
+    mu_r, each component moved to column 0, in sorted order."""
+    comps = []
+    for m, l in zip(mu + (0,) * len(lam), lam):
+        if m < l:
+            comps += [] if comps and l > comps[-1][-1][0] else [[]]
+            comps[-1].append((m, l))
+    return tuple(sorted(tuple((m - c[-1][0], l - c[-1][0]) for m, l in c) for c in comps))
+
+
+def skew_shape(key: tuple) -> tuple[Partition, Partition]:
+    """(lam, mu) with skew_key(lam, mu) = key: the components in key order
+    top to bottom, each right of every component below it."""
+    rows, width = [], 0
+    for comp in reversed(key):
+        rows[:0] = [(m + width, l + width) for m, l in comp]
+        width = rows[0][1]
+    return tuple(l for _, l in rows), tuple(m for m, _ in rows if m)
+
+
+@cache
+def skew_lr_count(key: tuple) -> int:
+    """even_column_lr_count on skew_shape(key), once per key: it pairs
+    s_{lam/mu} with the even-column s_delta, so every lam/mu of key has it."""
+    return even_column_lr_count(*skew_shape(key))
+
+
 def littlewood_branching(lam: Partition, n: int) -> dict[Partition, int]:
     """Multiplicity of each Sp(2n) irreducible in the GL(2n) irreducible lam:
     Littlewood's rule, the sum over mu inside lam of even_column_lr_count,
@@ -94,8 +124,8 @@ def littlewood_branching(lam: Partition, n: int) -> dict[Partition, int]:
     for mu in inside:
         if (size - sum(mu)) % 2:
             continue
-        mu = canonical(mu)
-        if (term := king_modification(mu, n)) and (m := even_column_lr_count(lam, mu)):
+        mu = mu[: len(mu) - mu.count(0)]  # weakly decreasing, so its zeros trail
+        if (term := king_modification(mu, n)) and (m := skew_lr_count(skew_key(lam, mu))):
             sign, nu = term
             out[nu] = out.get(nu, 0) + sign * m
     return {nu: m for nu, m in out.items() if m}

@@ -31,6 +31,7 @@ from artifact.verify import ModelRow, SuiteResult, VerificationReport, _tally_ke
 # names.
 SWEEP_CACHES = (
     characters.sp_character,
+    characters.skew_lr_count,
     branching._reduced,
     branching._staircase_prefixes,
     crystal._dominance_step,

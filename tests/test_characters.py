@@ -10,15 +10,19 @@ import pytest
 from artifact import characters
 from artifact.characters import (
     decompose,
+    even_column_lr_count,
     king_modification,
     littlewood_branching,
     restricted_gl_character,
+    skew_key,
+    skew_lr_count,
+    skew_shape,
     sp_character,
     sp_dimension,
     sp_weight,
 )
 from artifact.crystal import wt_ghat
-from artifact.shapes import enumerate_partitions
+from artifact.shapes import canonical, enumerate_partitions
 from artifact.tableaux import enumerate_columns, enumerate_ssyt, symplectic_columns
 from helpers import branching_multiplicity
 
@@ -71,6 +75,48 @@ def test_littlewood_branching_of_a_tall_column(time_bound):
     time_bound(10)
     assert littlewood_branching((1,) * 22, 11) == {(): 1}
     assert littlewood_branching((1,) * 60, 30) == {(): 1}
+
+
+# (n, most boxes) of the sweeps on whose every lam/mu the diagram cache is checked.
+SKEW_SWEEPS = ((2, 16), (3, 10), (4, 8))
+
+
+def _inside(lam):
+    """Every partition mu inside lam."""
+    inside = [()]
+    for p in lam:
+        inside = [mu + (q,) for mu in inside for q in range(1 + min(p, mu[-1] if mu else p))]
+    return [canonical(mu) for mu in inside]
+
+
+def test_skew_lr_count_is_the_direct_count(time_bound, cold_caches):
+    """The count cached by the skew diagram of lam/mu is the direct
+    even_column_lr_count(lam, mu) for every mu inside every lam of these
+    sweeps, and the shape rebuilt from a key has that key."""
+    time_bound(10)
+    for n, size in SKEW_SWEEPS:
+        for lam in enumerate_partitions(size, 2 * n):
+            for mu in _inside(lam):
+                key = skew_key(lam, mu)
+                assert skew_key(*skew_shape(key)) == key, (lam, mu)
+                assert skew_lr_count(key) == even_column_lr_count(lam, mu), (lam, mu)
+
+
+def test_skew_key_forgets_translations_order_and_empty_rows():
+    # (3, 1)/(1): the rows (1, 3) and (0, 1) share no column, so two components.
+    key = (((0, 1),), ((0, 2),))
+    assert skew_key((3, 1), (1,)) == key
+    assert skew_key((4, 1), (2,)) == key  # the upper component moved right
+    assert skew_key((3, 2), (2,)) == key  # the two components swapped
+    assert skew_key((3, 3, 1), (3, 1)) == key  # an empty row added
+    assert skew_shape(key) == ((3, 2), (2,))  # key order top to bottom
+    # Rows that share a column stay one component, moved as a whole.
+    assert skew_key((6, 5, 1), (4, 3)) == skew_key((5, 4, 1), (3, 2)) == (
+        ((0, 1),),
+        ((1, 3), (0, 2)),
+    )
+    assert skew_key((2, 2), (1,)) == (((1, 2), (0, 2)),)
+    assert skew_key((2, 2), (2, 2)) == skew_key((), ()) == ()
 
 
 def test_king_modification():

@@ -1,9 +1,10 @@
 """Named faults that the checker must detect.
 
 Each fault replaces, by monkeypatch, the module global that the library
-actually calls: characters looks up king_modification,
-even_column_lr_count, king_rows, sp_weight and _strip_transfer by name at
-call time; verify_shape calls the dominant_columns, staircase_search and
+actually calls: characters looks up king_modification, skew_key,
+even_column_lr_count (from skew_lr_count, on a key not yet counted),
+king_rows, sp_weight and _strip_transfer by name at call time;
+verify_shape calls the dominant_columns, staircase_search and
 count_columns that verify binds; branching looks up
 ab_sequences, _reduced, _reinserted, _chain_step and _staircase_prefixes,
 and crystal ab_sequences and _dominance_step, by name.  tableaux's
@@ -17,7 +18,9 @@ value cached by an earlier sweep cannot hide a fault.
 A fault is detected when verify_sweep(2, 5) or verify_sweep(3, 4) gives a
 failing report or raises RuntimeError (exit 4 on the command line); a pass
 or a hang is a miss.  The suc loop's faults run in a copy of _suc_chain on
-every tableau of the walk, in place of verify's staircase_search.  The
+every tableau of the walk, in place of verify's staircase_search; the one
+in its column insertion needs 6 boxes, and is detected instead when
+verify_sweep(2, 6) fails.  The
 promotion kernels' faults patch the kernel in promotion and in verify, and
 are detected instead when promotion_suite_exhaustive(2, 4) or
 promotion_suite_random(3, 50, 7) reports a failure or raises the kernels'
@@ -169,6 +172,21 @@ def _even_column_lr_count_mutant(lattice: bool, even: bool):
     return even_column_lr_count
 
 
+def _skew_key_mutant(touch: int):
+    """The body of characters.skew_key, splitting components where
+    lam_(r+1) <= mu_r + touch."""
+
+    def skew_key(lam, mu):
+        comps = []
+        for m, l in zip(mu + (0,) * len(lam), lam):
+            if m < l:
+                comps += [] if comps and l > comps[-1][-1][0] + touch else [[]]
+                comps[-1].append((m, l))
+        return tuple(sorted(tuple((m - c[-1][0], l - c[-1][0]) for m, l in c) for c in comps))
+
+    return skew_key
+
+
 def _dominant_columns_mutant(bounded: bool):
     """crystal.dominant_columns's relation on the one search, with the row
     bound by the right neighbour kept or dropped."""
@@ -259,10 +277,32 @@ def _staircase_search_mutant(flushed: bool = True, wait: bool = False):
     return staircase_search
 
 
-def _suc_chain_mutant(last: bool = False, short: bool = False):
+def _column_product_mutant(long: float = math.inf):
+    """The body of tableaux.column_product, with nothing bumped out of a last
+    column of more than long entries: what it bumps is dropped."""
+
+    def column_product(entries, cols):
+        out = []
+        for x, col in enumerate(cols):
+            if not entries:
+                return out + cols[x:]
+            drop = x == len(cols) - 1 and len(col) > long
+            col, entries = tableaux.column_pass(col, entries)
+            entries = () if drop else entries
+            out.append(col)
+        while entries:
+            col, entries = tableaux.column_pass((), entries)
+            out.append(col)
+        return out
+
+    return column_product
+
+
+def _suc_chain_mutant(last: bool = False, short: bool = False, product=None):
     """The body of branching._suc_chain, with the loop also stopping at a
     one-column tableau, so its last column is never reduced (last), or at a
-    first column of at most 2 entries (short)."""
+    first column of at most 2 entries (short), and inserting by this column
+    product (tableaux.column_product when None)."""
 
     def suc_chain(cols):
         chain = [cols]
@@ -271,7 +311,7 @@ def _suc_chain_mutant(last: bool = False, short: bool = False):
                 return chain
             if (kept := branching._reinserted(cols[0])) is None:
                 return chain
-            cols = tableaux.column_product(kept, cols[1:])
+            cols = (product or tableaux.column_product)(kept, cols[1:])
             chain.append(cols)
         raise RuntimeError("suc did not stabilize within the size budget")
 
@@ -381,6 +421,8 @@ def _dominance_step_without_its_zero_sentinel(col, m, n):
     # A sentinel of -inf never bounds the last coordinate, so it may turn negative.
     return DOMINANCE_STEP(col, m[:n] + (-math.inf,), n)
 
+
+LAST_COLUMN_FAULT = "the suc loop's insertion not bumping out of a last column longer than 2"
 
 # name -> (module or modules, global of each, replacement)
 DETECTED = {
@@ -541,6 +583,16 @@ DETECTED = {
         "even_column_lr_count",
         _even_column_lr_count_mutant(lattice=True, even=False),
     ),
+    "the skew key splitting rows that share one column": (
+        characters,
+        "skew_key",
+        _skew_key_mutant(1),
+    ),
+    LAST_COLUMN_FAULT: (
+        verify,
+        "staircase_search",
+        _search_by_suc_chain(_suc_chain_mutant(product=_column_product_mutant(2))),
+    ),
 }
 
 EQUIVALENT = {
@@ -589,11 +641,19 @@ def _bijection_suites_fail() -> bool:
     )
 
 
-# The check that sees a fault of these globals; the sweeps see the others.
+def _six_box_sweep_fails() -> bool:
+    """The sweeps stop at 5 boxes, and LAST_COLUMN_FAULT needs a column of 3
+    entries right of the first column, so 6 boxes: (2, 2, 2) at n = 2."""
+    return any(not report.passed for report in verify_sweep(2, 6))
+
+
+# The check that sees a fault of these globals, or of this named fault; the
+# sweeps see the others.
 CHECKS = {
     "_pr_flat": _promotion_suites_fail,
     "_pr_inv_flat": _promotion_suites_fail,
     "phi": _bijection_suites_fail,
+    LAST_COLUMN_FAULT: _six_box_sweep_fails,
 }
 
 
@@ -611,7 +671,8 @@ def test_mutant_is_detected(name, monkeypatch, time_bound, cold_caches):
     for bound in module if isinstance(module, tuple) else (module,):
         monkeypatch.setattr(bound, glob, replacement)
     in_reference = module is characters and glob in REFERENCE
-    check = _reference_disagrees if in_reference else CHECKS.get(glob, _sweeps_fail)
+    check = CHECKS.get(name, CHECKS.get(glob, _sweeps_fail))
+    check = _reference_disagrees if in_reference else check
     assert _detected(check), name
 
 
@@ -681,11 +742,12 @@ def test_the_insertion_mutants_without_their_faults_are_the_rule(monkeypatch):
 
 
 def test_the_littlewood_mutants_without_their_faults_are_the_rule():
-    """The copied bodies differ from king_modification and
+    """The copied bodies differ from king_modification, skew_key and
     even_column_lr_count only in their switches, so each detected mutant is
     its one fault and nothing else."""
     modification = _king_modification_mutant(signed=True, slack=0)
     count = _even_column_lr_count_mutant(lattice=True, even=True)
+    key = _skew_key_mutant(0)
     for n, size in SWEEPS:
         for lam in enumerate_partitions(size, 2 * n):
             assert modification(lam, n) == characters.king_modification(lam, n), lam
@@ -693,19 +755,22 @@ def test_the_littlewood_mutants_without_their_faults_are_the_rule():
                 if len(mu) > len(lam) or any(a > b for a, b in zip(mu, lam)):
                     continue
                 assert count(lam, mu) == characters.even_column_lr_count(lam, mu), (lam, mu)
+                assert key(lam, mu) == characters.skew_key(lam, mu), (lam, mu)
 
 
 def test_the_suc_loop_mutants_without_their_faults_are_the_rule():
-    """The copied body differs from branching._suc_chain only in its
-    switches, and the search it drives gives staircase_search's output, so
-    each detected suc mutant is its one fault and nothing else."""
-    copy = _suc_chain_mutant()
-    for n, size in SWEEPS:
+    """The copied bodies differ from branching._suc_chain and
+    tableaux.column_product only in their switches, and the search they
+    drive gives staircase_search's output, so each detected suc mutant is
+    its one fault and nothing else."""
+    copies = (_suc_chain_mutant(), _suc_chain_mutant(product=_column_product_mutant()))
+    for n, size in (*SWEEPS, (2, 6)):
         for lam in enumerate_partitions(size, 2 * n):
-            for cols in enumerate_columns(lam, 2 * n):
-                assert copy(cols) == branching._suc_chain(cols), cols
             expected = list(branching.staircase_search(lam, n))
-            assert list(_search_by_suc_chain(copy)(lam, n)) == expected, (lam, n)
+            for copy in copies:
+                for cols in enumerate_columns(lam, 2 * n):
+                    assert copy(cols) == branching._suc_chain(cols), cols
+                assert list(_search_by_suc_chain(copy)(lam, n)) == expected, (lam, n)
 
 
 def test_reduced_with_a_weak_bound_is_reduced_on_every_column():
