@@ -161,9 +161,10 @@ def _pr_flat(E: list[int], tables: tuple, a: int, b: int) -> list[int]:
     b, leftmost first, bottom first in a column, swaps with its larger left
     or above neighbour in [a, b), above on a tie, and becomes a; the other
     in-window entries increase by 1.  W reads 0 for all other entries, the
-    settled travelers too, so a later one cannot drag them along."""
-    if a == b:
-        return E[:]
+    settled travelers too, so a later one cannot drag them along.  With no
+    b nothing moves, and the image is the shift (E itself when a == b)."""
+    if b not in E:
+        return [e + 1 if a <= e < b else e for e in E]
     left, above, movers = tables[0]
     W = [e if a <= e < b else 0 for e in E]
     W.append(0)
@@ -186,9 +187,10 @@ def _pr_inv_flat(E: list[int], tables: tuple, a: int, b: int) -> list[int]:
     """pr_inv on the window [a, b] of the row-major entries E of a tableau:
     each a becomes b and, rightmost first, top first in a column, swaps with
     its smaller right or below neighbour <= b, below on a tie; the other
-    in-window entries decrease by 1.  W reads b + 1 for all other entries."""
-    if a == b:
-        return E[:]
+    in-window entries decrease by 1.  W reads b + 1 for all other entries.
+    With no a nothing moves, and the image is the shift (E when a == b)."""
+    if a not in E:
+        return [e - 1 if a < e <= b else e for e in E]
     right, below, movers = tables[1]
     out = b + 1
     W = [b if e == a else e - 1 if a < e <= b else out for e in E]

@@ -173,9 +173,10 @@ def promotion_relations(T: Rows, n: int) -> SuiteResult:
     """Roundtrips, involutivity on adjacent windows, commutation of distant
     windows, and composition of overlapping windows, on one semistandard
     tableau, by the flat kernels.  Each distinct image of T gets an id (T's
-    is 0), each kernel runs once per image and window, each new image is
-    checked to be semistandard, raising as pr or pr_inv would, and the
-    relations compare ids."""
+    is 0), each kernel runs once per image and window of two or more
+    letters (pr and pr_inv fix every tableau on a one-letter window), each
+    new image is checked to be semistandard, raising as pr or pr_inv would,
+    and the relations compare ids."""
     if not validate_ssyt(T):
         raise ValueError(f"not a semistandard tableau: {T}")
     tables = _tables(tuple(map(len, T)))
@@ -186,6 +187,8 @@ def promotion_relations(T: Rows, n: int) -> SuiteResult:
         memo: dict[tuple[int, int, int], int] = {}
 
         def image(i: int, a: int, b: int) -> int:
+            if a == b:
+                return i
             if (j := memo.get((i, a, b))) is None:
                 U = kernel(images[i], tables, a, b)
                 j = memo[i, a, b] = ids.setdefault(tuple(U), len(images))

@@ -24,9 +24,11 @@ verify_sweep(2, 6) fails.  The
 promotion kernels' faults patch the kernel in promotion and in verify, and
 are detected instead when promotion_suite_exhaustive(2, 4) or
 promotion_suite_random(3, 50, 7) reports a failure or raises the kernels'
-"broke semistandardness" ValueError; a wrong phi, when bijection_suite
-fails on a report of the two sweeps.  The sweep's oracle is
-littlewood_branching, so a fault in the strip transfer, king_rows or
+"broke semistandardness" ValueError; pr moving an entry on a one-letter
+window, on which no suite runs a kernel, when a kernel, pr or pr_inv does
+not fix a tableau of _promotion_cases on some window [a, a]; a wrong phi,
+when bijection_suite fails on a report of the two sweeps.  The sweep's
+oracle is littlewood_branching, so a fault in the strip transfer, king_rows or
 sp_weight, which only the test reference
 decompose(restricted_gl_character(lam, n), n) still runs, is detected
 instead when that reference disagrees with littlewood_branching on a shape
@@ -39,7 +41,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from functools import cache
-from itertools import combinations, groupby, islice, product
+from itertools import combinations, combinations_with_replacement, groupby, islice, product
 from operator import add, le, sub
 
 import pytest
@@ -338,8 +340,8 @@ def _pr_flat_mutant(tie_left: bool = False, reverse: bool = False):
     reverse order (reverse)."""
 
     def pr_flat(E, tables, a, b):
-        if a == b:
-            return E[:]
+        if b not in E:
+            return [e + 1 if a <= e < b else e for e in E]
         left, above, movers = tables[0]
         W = [e if a <= e < b else 0 for e in E]
         W.append(0)
@@ -365,8 +367,8 @@ def _pr_inv_flat_mutant(tie_right: bool = False):
     below neighbour won by the right one (tie_right)."""
 
     def pr_inv_flat(E, tables, a, b):
-        if a == b:
-            return E[:]
+        if a not in E:
+            return [e - 1 if a < e <= b else e for e in E]
         right, below, movers = tables[1]
         out = b + 1
         W = [b if e == a else e - 1 if a < e <= b else out for e in E]
@@ -396,6 +398,10 @@ def _pr_flat_on_1_5_for_1_2(E, tables, a, b):
     return PR_FLAT(E, tables, 1, 5) if (a, b) == (1, 2) else PR_FLAT(E, tables, a, b)
 
 
+def _pr_flat_on_a_one_letter_window_as_on_two(E, tables, a, b):
+    return PR_FLAT(E, tables, a, a + 1) if a == b else PR_FLAT(E, tables, a, b)
+
+
 def _phi_fixing_a_dominant_tableau(T, n):
     # [[1, 1], [2]] is the first dominant tableau of shape (2, 1) at n = 2,
     # and it is not highest there.
@@ -423,6 +429,7 @@ def _dominance_step_without_its_zero_sentinel(col, m, n):
 
 
 LAST_COLUMN_FAULT = "the suc loop's insertion not bumping out of a last column longer than 2"
+ONE_LETTER_FAULT = "pr not the identity on a one-letter window"
 
 # name -> (module or modules, global of each, replacement)
 DETECTED = {
@@ -557,6 +564,14 @@ DETECTED = {
         "_pr_flat",
         _pr_flat_on_1_5_for_1_2,
     ),
+    # pr on [a, a + 1] for [a, a]: the suites cannot see it, since
+    # promotion_relations answers a one-letter window without a kernel call
+    # and phi, psi and res_via_promotion have none.
+    ONE_LETTER_FAULT: (
+        (promotion, verify),
+        "_pr_flat",
+        _pr_flat_on_a_one_letter_window_as_on_two,
+    ),
     "phi fixing the dominant tableau [[1, 1], [2]]": (
         verify,
         "phi",
@@ -647,6 +662,21 @@ def _six_box_sweep_fails() -> bool:
     return any(not report.passed for report in verify_sweep(2, 6))
 
 
+def _a_one_letter_window_moves_an_entry() -> bool:
+    """Some case of _promotion_cases that a kernel, or pr or pr_inv, does
+    not fix on some one-letter window [a, a], a <= 2n + 1."""
+    kernels = (promotion._pr_flat, promotion._pr_inv_flat)
+    for T, n in _promotion_cases():
+        tables = promotion._tables(tuple(map(len, T)))
+        E = [e for row in T for e in row]
+        for a in range(1, 2 * n + 2):
+            if any(kernel(E, tables, a, a) != E for kernel in kernels):
+                return True
+            if promotion.pr(T, a, a) != T or promotion.pr_inv(T, a, a) != T:
+                return True
+    return False
+
+
 # The check that sees a fault of these globals, or of this named fault; the
 # sweeps see the others.
 CHECKS = {
@@ -654,6 +684,7 @@ CHECKS = {
     "_pr_inv_flat": _promotion_suites_fail,
     "phi": _bijection_suites_fail,
     LAST_COLUMN_FAULT: _six_box_sweep_fails,
+    ONE_LETTER_FAULT: _a_one_letter_window_moves_an_entry,
 }
 
 
@@ -791,6 +822,12 @@ def _promotion_cases() -> list:
     return cases + [(verify.random_ssyt(random_shape(8, 6, rng), 6, rng), 3) for _ in range(200)]
 
 
+def test_the_kernels_fix_every_tableau_on_a_one_letter_window():
+    """pr and pr_inv on [a, a] are the identity, flat and on rows, so
+    promotion_relations may answer a one-letter window without a kernel."""
+    assert not _a_one_letter_window_moves_an_entry()
+
+
 def test_the_kernel_mutants_without_their_faults_are_the_kernels():
     """The copied bodies differ from promotion._pr_flat and _pr_inv_flat only
     in their switches, so each detected kernel mutant is its one fault."""
@@ -798,7 +835,7 @@ def test_the_kernel_mutants_without_their_faults_are_the_kernels():
     for T, n in _promotion_cases():
         tables = promotion._tables(tuple(map(len, T)))
         E = [e for row in T for e in row]
-        for a, b in combinations(range(1, 2 * n + 2), 2):
+        for a, b in combinations_with_replacement(range(1, 2 * n + 2), 2):
             assert pr_copy(E, tables, a, b) == PR_FLAT(E, tables, a, b), (T, a, b)
             assert pr_inv_copy(E, tables, a, b) == PR_INV_FLAT(E, tables, a, b), (T, a, b)
 

@@ -369,7 +369,8 @@ def test_promotion_relations_check_the_images(monkeypatch, source, window):
 
 def test_promotion_relations_run_each_kernel_input_once(monkeypatch, cold_caches):
     """Each image of T is computed once per kernel and window: no (kernel,
-    entries, a, b) input repeats within one call, and the check count stays
+    entries, a, b) input repeats within one call, none has a one-letter
+    window, which the memo answers with T's own id, and the check count stays
     38 at n = 2 and 117 at n = 3.  A second call on T gives the same result,
     and the only library cache that grows is promotion._tables, by one entry
     per new shape."""
@@ -393,6 +394,7 @@ def test_promotion_relations_run_each_kernel_input_once(monkeypatch, cold_caches
         inputs.clear()
         first = verify.promotion_relations(T, n)
         assert len(set(inputs)) == len(inputs), T
+        assert all(a < b for _, _, a, b in inputs), T
         assert first.checked == {2: 38, 3: 117}[n], T
         second = verify.promotion_relations(T, n)
         assert (second.checked, second.failures) == (first.checked, first.failures), T
