@@ -1,34 +1,43 @@
 """Named faults that the checker must detect.
 
-Each fault replaces, by monkeypatch, the module global that the library
-actually calls: characters looks up king_modification, skew_key,
-even_column_lr_count (from skew_lr_count, on a key not yet counted),
-king_rows, sp_weight and _strip_transfer by name at call time;
-verify_shape calls the dominant_columns, staircase_search and
-count_columns that verify binds; branching looks up
-ab_sequences, _reduced, _reinserted, _chain_step and _staircase_prefixes,
-and crystal ab_sequences and _dominance_step, by name.  tableaux's
-enumerators and branching.staircase_search and crystal.dominant_columns
-each call the one search, chains, and tableaux.column_product and
-branching._chain_step the one column pass, column_pass, by the name their
-own module binds, so a fault of either patches both bindings.
+A fault replaces, by monkeypatch, a module global that the library
+actually calls.  It is either a small function around the library's own,
+or the library function itself, recompiled by mutant from its own source
+with one or a few exact text edits, (old, new), in its own module's
+globals: so it looks up what it calls by name at call time, as the library
+function does, and its difference from the library is its edits.
+characters looks up king_modification, skew_key, even_column_lr_count
+(from skew_lr_count, on a key not yet counted), king_rows, sp_weight and
+_strip_transfer by name at call time; verify_shape calls the
+dominant_columns, staircase_search and count_columns that verify binds;
+branching looks up ab_sequences, _reduced, _reinserted, _chain_step,
+_staircase_prefixes, _suc_chain and column_product, and crystal
+ab_sequences and _dominance_step, by name.  Some globals are bound in
+more than one module, and a fault of one patches each binding: the
+promotion kernels _pr_flat and _pr_inv_flat in (promotion, verify); the
+one column pass, column_pass, which tableaux.column_product and
+branching._chain_step call, in (tableaux, branching); and the one search,
+chains, which tableaux's enumerators, branching.staircase_search and
+crystal.dominant_columns call, in (tableaux, crystal, branching).
+Each fault is derived inside its own test, so an edit that no longer
+applies fails that fault's test with its name.
 The cold_caches fixture empties every table the library keeps, so that a
 value cached by an earlier sweep cannot hide a fault.
 
 A fault is detected when verify_sweep(2, 5) or verify_sweep(3, 4) gives a
 failing report or raises RuntimeError (exit 4 on the command line); a pass
-or a hang is a miss.  The suc loop's faults run in a copy of _suc_chain on
-every tableau of the walk, in place of verify's staircase_search; the one
-in its column insertion needs 6 boxes, and is detected instead when
-verify_sweep(2, 6) fails.  The
-promotion kernels' faults patch the kernel in promotion and in verify, and
-are detected instead when promotion_suite_exhaustive(2, 4) or
-promotion_suite_random(3, 50, 7) reports a failure or raises the kernels'
-"broke semistandardness" ValueError; pr moving an entry on a one-letter
-window, on which no suite runs a kernel, when a kernel, pr or pr_inv does
-not fix a tableau of _promotion_cases on some window [a, a]; a wrong phi,
-when bijection_suite fails on a report of the two sweeps.  The sweep's
-oracle is littlewood_branching, so a fault in the strip transfer, king_rows or
+or a hang is a miss.  The suc loop's faults, in branching's _suc_chain and
+the column_product it calls, run that loop on every tableau of the walk,
+in place of verify's staircase_search; the one in its column insertion
+needs 6 boxes, and is detected instead when verify_sweep(2, 6) fails.  The
+promotion kernels' faults are detected instead when
+promotion_suite_exhaustive(2, 4) or promotion_suite_random(3, 50, 7)
+reports a failure or raises the kernels' "broke semistandardness"
+ValueError; pr moving an entry on a one-letter window, on which no suite
+runs a kernel, when a kernel, pr or pr_inv does not fix a tableau of
+_promotion_cases on some window [a, a]; a wrong phi, when bijection_suite
+fails on a report of the two sweeps.  The sweep's oracle is
+littlewood_branching, so a fault in the strip transfer, king_rows or
 sp_weight, which only the test reference
 decompose(restricted_gl_character(lam, n), n) still runs, is detected
 instead when that reference disagrees with littlewood_branching on a shape
@@ -37,19 +46,18 @@ see stays in the table, marked equivalent, with the argument and the check
 that does see it.
 """
 
+import __future__
+import inspect
 import math
 import random
-from bisect import bisect_left, bisect_right
-from functools import cache
-from itertools import combinations, combinations_with_replacement, groupby, islice, product
-from operator import add, le, sub
+from itertools import combinations, groupby, islice
 
 import pytest
 
 from artifact import branching, characters, cli, crystal, promotion, shapes, tableaux, verify
 from artifact.characters import decompose, littlewood_branching, restricted_gl_character
-from artifact.shapes import canonical, conjugate, enumerate_partitions, part
-from artifact.tableaux import content, enumerate_columns
+from artifact.shapes import enumerate_partitions
+from artifact.tableaux import enumerate_columns
 from artifact.verify import (
     bijection_suite,
     promotion_suite_exhaustive,
@@ -61,169 +69,61 @@ from helpers import SWEEP_CACHES, promotion_relations_reference, random_shape
 SWEEPS = ((2, 5), (3, 4))
 # The characters globals that only the test reference calls.
 REFERENCE = {"king_rows", "sp_weight", "_strip_transfer"}
+# The branching globals that only the suc loop calls; the sweep runs that
+# loop, in place of the search, on every tableau of the walk.
+SUC_LOOP = {"_suc_chain", "column_product"}
 SP_WEIGHT = characters.sp_weight
 STAIRCASE_PREFIXES = branching._staircase_prefixes
 AB_SEQUENCES = branching.ab_sequences
 DOMINANCE_STEP = crystal._dominance_step
 STAIRCASE_SEARCH = verify.staircase_search
 COUNT_COLUMNS = verify.count_columns
+REDUCED = branching._reduced
 REINSERTED = branching._reinserted
 COLUMN_PASS = tableaux.column_pass
 CHAINS = tableaux.chains
 PR_FLAT = promotion._pr_flat
-PR_INV_FLAT = promotion._pr_inv_flat
 PHI = verify.phi
 
 
-def _sp_weight_pairing_2i_minus_1_with_2i_plus_2(T, n):
-    c = content(T, 2 * n)
-    return tuple(c[2 * i] - c[(2 * i + 3) % (2 * n)] for i in range(n))
+def mutant(module, name: str, *edits: tuple[str, str]):
+    """module.name recompiled from its own source, its decorators dropped,
+    with each (old, new) text edit made in turn, in the module's globals;
+    ValueError unless each old differs from its new and occurs exactly once."""
+    function = getattr(module, name)
+    source = inspect.getsource(getattr(function, "__wrapped__", function))
+    source = source[source.index("def ") :]
+    for old, new in edits:
+        if old == new or source.count(old) != 1:
+            where = f"{module.__name__}.{name}, whose source has it {source.count(old)} times"
+            raise ValueError(f"{old!r} -> {new!r} is no edit of {where}")
+        source = source.replace(old, new)
+    flags = __future__.annotations.compiler_flag
+    scope = {}
+    exec(compile(source, f"<{name} mutant>", "exec", flags, dont_inherit=True), vars(module), scope)
+    return scope[name]
+
+
+def _patch(monkeypatch, name: str, modules, glob: str, *fault) -> tuple:
+    """Bind the fault's replacement of glob in the module, or in each of the
+    modules, and return (the first module, glob).  The replacement is fault's
+    one function, or, when fault is edits, the mutant of what the first
+    module binds, in its own module; ValueError, with the fault's name, when
+    an edit does not apply."""
+    modules = modules if isinstance(modules, tuple) else (modules,)
+    replacement = fault[0]
+    if isinstance(replacement, tuple):
+        try:
+            replacement = mutant(inspect.getmodule(getattr(modules[0], glob)), glob, *fault)
+        except ValueError as error:
+            raise ValueError(f"{name}: {error}") from None
+    for module in modules:
+        monkeypatch.setattr(module, glob, replacement)
+    return modules[0], glob
 
 
 def _sp_weight_negated(T, n):
     return tuple(-w for w in SP_WEIGHT(T, n))
-
-
-def _reduced_mutant(parity: int, slack: int, history: bool = True, strict: bool = True):
-    """The body of branching._reduced, pairing a v of this parity, with the
-    bound on v lowered by slack, with or without its len(before) term, and
-    met strictly or not."""
-
-    def reduced(col):
-        before, kept = (), col[:1]
-        for k in range(2, len(col) + 1):
-            v = col[k - 1]
-            bound = k + 1 + (len(before) if history else 0) - slack
-            pair = v % 2 == parity and col[k - 2] == v - 1 and (v < bound if strict else v <= bound)
-            before, kept = kept, before if pair else kept + (v,)
-        return kept
-
-    return reduced
-
-
-def _strip_transfer_mutant(slack: int):
-    """The body of characters._strip_transfer, with the interlacing bound
-    nu_{i+1} <= mu_i lowered by slack."""
-
-    def transfer(lam, n, rows):
-        lam = canonical(lam)
-        state = {lam: {(0,) * n: 1}}
-        for j in range(2 * n, 0, -1):
-            unit, cap, step = SP_WEIGHT([[j]], n), rows(j - 1), {}
-            for nu, partial in state.items():
-                size = sum(nu)
-                tops = [p + 1 for p in nu[:cap]] + [1] * (len(nu) - cap)
-                lows = [max(p - slack, 0) for p in nu[1:] + (0,)]
-                for mu in product(*map(range, lows, tops)):
-                    shift = [(size - sum(mu)) * u for u in unit]
-                    merged = step.setdefault(mu, {})
-                    for v, m in partial.items():
-                        w = tuple(map(add, v, shift))
-                        merged[w] = merged.get(w, 0) + m
-            state = step
-        return state.get((0,) * len(lam), {})
-
-    return transfer
-
-
-def _king_modification_mutant(signed: bool, slack: int):
-    """The body of characters.king_modification, with the sign kept or
-    dropped and the hook length h raised by slack."""
-
-    def king_modification(mu, n):
-        sign = 1
-        while (p := len(mu)) > n:
-            h = 2 * p - 2 * n - 2 + slack
-            beads = [m + p - i for i, m in enumerate(mu, start=1)]
-            if h == 0 or h not in beads:
-                return None
-            i = beads.index(h)
-            sign *= (-1) ** (h - (p - i) + 1) if signed else 1
-            beads = beads[:i] + beads[i + 1 :] + [0]
-            mu = canonical(b - p + k for k, b in enumerate(beads, start=1))
-        return sign, mu
-
-    return king_modification
-
-
-def _even_column_lr_count_mutant(lattice: bool, even: bool):
-    """The body of characters.even_column_lr_count, with the lattice
-    condition and the even-column content test each kept or dropped."""
-
-    def even_column_lr_count(lam, mu):
-        state = {((part(lam, 1),), (0,) * (len(lam) + len(lam) % 2)): 1}
-        for r, end in enumerate(lam):
-            step = {}
-            for (above, before), m in state.items():
-                chains = [(part(mu, r + 1),)]
-                for k in range(1, r + 2):
-                    slack = before[k - 2] - before[k - 1] if k > 1 and lattice else end
-                    chains = [
-                        ends + (e,)
-                        for ends in chains
-                        for e in range(
-                            ends[-1] if k <= r else end, min(end, above[k - 1], ends[-1] + slack) + 1
-                        )
-                    ]
-                for ends in chains:
-                    count = (*map(add, before, map(sub, ends[1:], ends)), *before[r + 1 :])
-                    step[ends, count] = step.get((ends, count), 0) + m
-            state = step
-        return sum(m for (_, count), m in state.items() if count[::2] == count[1::2] or not even)
-
-    return even_column_lr_count
-
-
-def _skew_key_mutant(touch: int):
-    """The body of characters.skew_key, splitting components where
-    lam_(r+1) <= mu_r + touch."""
-
-    def skew_key(lam, mu):
-        comps = []
-        for m, l in zip(mu + (0,) * len(lam), lam):
-            if m < l:
-                comps += [] if comps and l > comps[-1][-1][0] + touch else [[]]
-                comps[-1].append((m, l))
-        return tuple(sorted(tuple((m - c[-1][0], l - c[-1][0]) for m, l in c) for c in comps))
-
-    return skew_key
-
-
-def _dominant_columns_mutant(bounded: bool):
-    """crystal.dominant_columns's relation on the one search, with the row
-    bound by the right neighbour kept or dropped."""
-
-    def dominant_columns(lam, n):
-        @cache
-        def below(right, k):
-            cols = combinations(range(1, 2 * n + 1), k)
-            return [col for col in cols if not bounded or all(map(le, col, right))]
-
-        def children(node, k):
-            right, m = node
-            return [(c, w) for c in below(right, k) if (w := crystal._dominance_step(c, m, n)[0])]
-
-        found = CHAINS(conjugate(canonical(lam))[::-1], children, ((), (0,) * (n + 1)))
-        return sorted([col for col, _ in reversed(chain)] for chain in found)
-
-    return dominant_columns
-
-
-def _column_pass_mutant(bisect):
-    """The body of tableaux.column_pass, each entry placed by this bisect."""
-
-    def column_pass(col, entries):
-        col, bumped = list(col), []
-        for m in entries:
-            y = bisect(col, m)
-            if y == len(col):
-                col.append(m)
-            else:
-                bumped.append(col[y])
-                col[y] = m
-        return tuple(col), tuple(bumped)
-
-    return column_pass
 
 
 def _column_pass_dropping_its_last_bumped_entry(col, entries):
@@ -231,163 +131,14 @@ def _column_pass_dropping_its_last_bumped_entry(col, entries):
     return col, bumped[:-1]
 
 
-def _chain_step_mutant(early: bool = False, both: bool = False, first: bool = False):
-    """The body of branching._chain_step, a new level taken as P before its
-    first column is tested (early), a node kept only while both flags hold
-    (both) and the prefix test made on P's first column only (first)."""
-
-    def chain_step(state, col, prefixes):
-        flights, is_p, hi, lo, _ = state
-        moved = []
-        for entries in flights:
-            col, entries = branching.column_pass(col, entries)
-            moved.append(entries)
-        if not is_p and (kept := branching._reinserted(col)) is not None:
-            return (*moved, kept), early, True, True, ()
-        if not (first and is_p):
-            hi, lo = hi and col in prefixes[0], lo and col in prefixes[1]
-        return (tuple(moved), True, hi, lo, col) if (hi and lo if both else hi or lo) else None
-
-    return chain_step
-
-
-def _staircase_search_mutant(flushed: bool = True, wait: bool = False):
-    """The body of branching.staircase_search, with P keeping or losing the
-    columns its finish adds (flushed), and the finish stepping on, or not,
-    until the last level is P as well as nothing is in flight (wait)."""
-
-    def staircase_search(lam, n):
-        prefixes = branching._staircase_prefixes(n)
-
-        def children(node, k):
-            left, state = node
-            cols = tableaux.after(left, k, 2 * n)
-            return [(col, s) for col in cols if (s := branching._chain_step(state, col, prefixes))]
-
-        root = ((), ((), False, True, True, ()))
-        for chain in CHAINS(conjugate(canonical(lam)), children, root):
-            T, states = [col for col, _ in chain], [s for _, s in [root, *chain]]
-            walked = len(states)
-            while (state := states[-1]) and (any(state[0]) or wait and not state[1]):
-                if len(state[0]) > sum(map(len, T)) + 1:
-                    raise RuntimeError("suc did not stabilize within the size budget")
-                states.append(branching._chain_step(state, (), prefixes))
-            if state:
-                P = [s[4] for s in states[: None if flushed else walked] if s[4]]
-                yield T, P, state[2], state[3]
-
-    return staircase_search
-
-
-def _column_product_mutant(long: float = math.inf):
-    """The body of tableaux.column_product, with nothing bumped out of a last
-    column of more than long entries: what it bumps is dropped."""
-
-    def column_product(entries, cols):
-        out = []
-        for x, col in enumerate(cols):
-            if not entries:
-                return out + cols[x:]
-            drop = x == len(cols) - 1 and len(col) > long
-            col, entries = tableaux.column_pass(col, entries)
-            entries = () if drop else entries
-            out.append(col)
-        while entries:
-            col, entries = tableaux.column_pass((), entries)
-            out.append(col)
-        return out
-
-    return column_product
-
-
-def _suc_chain_mutant(last: bool = False, short: bool = False, product=None):
-    """The body of branching._suc_chain, with the loop also stopping at a
-    one-column tableau, so its last column is never reduced (last), or at a
-    first column of at most 2 entries (short), and inserting by this column
-    product (tableaux.column_product when None)."""
-
-    def suc_chain(cols):
-        chain = [cols]
-        for _ in range(sum(map(len, cols)) + 2):
-            if not cols or last and len(cols) == 1 or short and len(cols[0]) <= 2:
-                return chain
-            if (kept := branching._reinserted(cols[0])) is None:
-                return chain
-            cols = (product or tableaux.column_product)(kept, cols[1:])
-            chain.append(cols)
-        raise RuntimeError("suc did not stabilize within the size budget")
-
-    return suc_chain
-
-
-def _search_by_suc_chain(suc_chain):
-    """staircase_search's output, from this suc chain run on every tableau
-    of enumerate_columns: the sweep's P made by a copy of the suc loop."""
-
-    def staircase_search(lam, n):
-        for cols in enumerate_columns(lam, 2 * n):
-            P = suc_chain(cols)[-1]
-            is_a, is_b = branching.staircase_flags(P, n)
-            if is_a or is_b:
-                yield cols, P, is_a, is_b
-
-    return staircase_search
-
-
-def _pr_flat_mutant(tie_left: bool = False, reverse: bool = False):
-    """The body of promotion._pr_flat, a tie between the left and the above
-    neighbour won by the left one (tie_left), and the movers taken in
-    reverse order (reverse)."""
-
-    def pr_flat(E, tables, a, b):
-        if b not in E:
-            return [e + 1 if a <= e < b else e for e in E]
-        left, above, movers = tables[0]
-        W = [e if a <= e < b else 0 for e in E]
-        W.append(0)
-        for i in movers[::-1] if reverse else movers:
-            if E[i] == b:
-                while True:
-                    l, u = left[i], above[i]
-                    lv, uv = W[l], W[u]
-                    if lv > uv or tie_left and lv == uv > 0:
-                        W[i], i = lv, l
-                    elif uv:
-                        W[i], i = uv, u
-                    else:
-                        W[i] = 0
-                        break
-        return [w + 1 if w else a if a <= e <= b else e for w, e in zip(W, E)]
-
-    return pr_flat
-
-
-def _pr_inv_flat_mutant(tie_right: bool = False):
-    """The body of promotion._pr_inv_flat, a tie between the right and the
-    below neighbour won by the right one (tie_right)."""
-
-    def pr_inv_flat(E, tables, a, b):
-        if a not in E:
-            return [e - 1 if a < e <= b else e for e in E]
-        right, below, movers = tables[1]
-        out = b + 1
-        W = [b if e == a else e - 1 if a < e <= b else out for e in E]
-        W.append(out)
-        for i in movers:
-            if E[i] == a:
-                while True:
-                    r, d = right[i], below[i]
-                    rv, dv = W[r], W[d]
-                    if rv < dv or tie_right and rv == dv < out:
-                        W[i], i = rv, r
-                    elif dv < out:
-                        W[i], i = dv, d
-                    else:
-                        W[i] = b
-                        break
-        return [e if w == out else w for w, e in zip(W, E)]
-
-    return pr_inv_flat
+def _search_by_suc_chain(lam, n):
+    """staircase_search's output, from branching._suc_chain run on every
+    tableau of enumerate_columns: the sweep's P made by the suc loop."""
+    for cols in enumerate_columns(lam, 2 * n):
+        P = branching._suc_chain(cols)[-1]
+        is_a, is_b = branching.staircase_flags(P, n)
+        if is_a or is_b:
+            yield cols, P, is_a, is_b
 
 
 def _pr_flat_on_a_shrunk_window(E, tables, a, b):
@@ -430,8 +181,10 @@ def _dominance_step_without_its_zero_sentinel(col, m, n):
 
 LAST_COLUMN_FAULT = "the suc loop's insertion not bumping out of a last column longer than 2"
 ONE_LETTER_FAULT = "pr not the identity on a one-letter window"
+WEAK_REDUCED = "_reduced met with <= for <"
 
-# name -> (module or modules, global of each, replacement)
+# name -> (module or modules, global of each, replacement or the edits of
+# the global's own source)
 DETECTED = {
     "king_rows(j) = j, GL's row cap": (characters, "king_rows", lambda j: j),
     "king_rows(j) = (j + 2) // 2, King relaxed to 2y - 2": (
@@ -443,17 +196,18 @@ DETECTED = {
     "oracle sp_weight pairs 2i - 1 with 2i + 2": (
         characters,
         "sp_weight",
-        _sp_weight_pairing_2i_minus_1_with_2i_plus_2,
+        ("c[i + 1]", "c[(i + 3) % (2 * n)]"),
     ),
     "strip interlacing bound lowered by 1": (
         characters,
         "_strip_transfer",
-        _strip_transfer_mutant(1),
+        ("nu[1:] + (0,), tops", "[max(p - 1, 0) for p in nu[1:] + (0,)], tops"),
     ),
     "the search's prefix test reading only P's first column": (
         branching,
         "_chain_step",
-        _chain_step_mutant(first=True),
+        ("hi and col in prefixes[0]", "hi and (is_p or col in prefixes[0])"),
+        ("lo and col in prefixes[1]", "lo and (is_p or col in prefixes[1])"),
     ),
     "the staircase prefix table without its n-entry prefixes": (
         branching,
@@ -465,12 +219,12 @@ DETECTED = {
         "ab_sequences",
         lambda n: AB_SEQUENCES(n)[::-1],
     ),
-    "_reduced bound lowered by 1": (branching, "_reduced", _reduced_mutant(0, 1)),
-    "_reduced pairing an odd v": (branching, "_reduced", _reduced_mutant(1, 0)),
+    "_reduced bound lowered by 1": (branching, "_reduced", ("v < k + 1", "v < k")),
+    "_reduced pairing an odd v": (branching, "_reduced", ("v % 2 == 0", "v % 2 == 1")),
     "_reduced bounding v without its len(before) history": (
         branching,
         "_reduced",
-        _reduced_mutant(0, 0, history=False),
+        ("v < k + 1 + len(before)", "v < k + 1"),
     ),
     "the dominance step without its zero sentinel": (
         crystal,
@@ -480,7 +234,7 @@ DETECTED = {
     "the dominant search without its right-neighbour row bound": (
         verify,
         "dominant_columns",
-        _dominant_columns_mutant(bounded=False),
+        ("if all(map(le, col, right))", "if True"),
     ),
     "the chain search losing the last chain of each last-level batch": (
         (tableaux, crystal, branching),
@@ -515,44 +269,52 @@ DETECTED = {
     "column insertion bumping the topmost entry > m (bisect_right)": (
         (tableaux, branching),
         "column_pass",
-        _column_pass_mutant(bisect_right),
+        ("bisect_left(col, m)", "bisect_right(col, m)"),
     ),
     "the chain pipeline taking a new level as P before its first column": (
         branching,
         "_chain_step",
-        _chain_step_mutant(early=True),
+        ("False, True, True, ()", "True, True, True, ()"),
     ),
     "the staircase search cutting a node unless both flags hold": (
         branching,
         "_chain_step",
-        _chain_step_mutant(both=True),
+        ("if hi or lo else None", "if hi and lo else None"),
     ),
     "the search's P losing the columns its finish adds": (
         verify,
         "staircase_search",
-        _staircase_search_mutant(flushed=False),
+        ("for s in states if s[4]", "for s in states[: len(chain) + 1] if s[4]"),
     ),
     "the search's finish stepping on until the last level is P": (
         verify,
         "staircase_search",
-        _staircase_search_mutant(wait=True),
+        ("and any(state[0]):", "and (any(state[0]) or not state[1]):"),
     ),
     "the suc loop never reducing the last column": (
-        verify,
-        "staircase_search",
-        _search_by_suc_chain(_suc_chain_mutant(last=True)),
+        branching,
+        "_suc_chain",
+        ("if not cols or", "if not cols or len(cols) == 1 or"),
     ),
     "the suc loop stopping at a first column of at most 2 entries": (
-        verify,
-        "staircase_search",
-        _search_by_suc_chain(_suc_chain_mutant(short=True)),
+        branching,
+        "_suc_chain",
+        ("if not cols or", "if not cols or len(cols[0]) <= 2 or"),
     ),
-    "pr moving left on a tie": ((promotion, verify), "_pr_flat", _pr_flat_mutant(tie_left=True)),
-    "pr with its movers reversed": ((promotion, verify), "_pr_flat", _pr_flat_mutant(reverse=True)),
+    "pr moving left on a tie": (
+        (promotion, verify),
+        "_pr_flat",
+        ("if lv > uv:", "if lv > uv or lv == uv > 0:"),
+    ),
+    "pr with its movers reversed": (
+        (promotion, verify),
+        "_pr_flat",
+        ("for i in movers:", "for i in movers[::-1]:"),
+    ),
     "pr_inv moving right on a tie": (
         (promotion, verify),
         "_pr_inv_flat",
-        _pr_inv_flat_mutant(tie_right=True),
+        ("if rv < dv:", "if rv < dv or rv == dv < out:"),
     ),
     "pr on the window shrunk to (a, b - 1) when b - a >= 2": (
         (promotion, verify),
@@ -581,32 +343,38 @@ DETECTED = {
     "King's modification without its sign": (
         characters,
         "king_modification",
-        _king_modification_mutant(signed=False, slack=0),
+        ("sign *= (-1) ** (h - (p - i) + 1)", "sign *= 1"),
     ),
     "King's hook length h = 2p - 2n, off by 2": (
         characters,
         "king_modification",
-        _king_modification_mutant(signed=True, slack=2),
+        ("h = 2 * p - 2 * n - 2", "h = 2 * p - 2 * n"),
     ),
     "LR fillings without the lattice condition": (
         characters,
         "even_column_lr_count",
-        _even_column_lr_count_mutant(lattice=False, even=True),
+        ("slack = before[k - 2] - before[k - 1] if k > 1 else end", "slack = end"),
     ),
     "LR fillings of every content, not only even columns": (
         characters,
         "even_column_lr_count",
-        _even_column_lr_count_mutant(lattice=True, even=False),
+        ("if count[::2] == count[1::2]", "if True"),
     ),
     "the skew key splitting rows that share one column": (
         characters,
         "skew_key",
-        _skew_key_mutant(1),
+        ("l > comps[-1][-1][0]", "l > comps[-1][-1][0] + 1"),
     ),
+    # tableaux.column_product, as branching binds it for the suc loop: what
+    # the last column bumps is dropped when that column had 3 entries or more.
     LAST_COLUMN_FAULT: (
-        verify,
-        "staircase_search",
-        _search_by_suc_chain(_suc_chain_mutant(product=_column_product_mutant(2))),
+        branching,
+        "column_product",
+        (
+            "col, entries = column_pass(col, entries)",
+            "col, entries = column_pass(col, entries)\n"
+            "        entries = () if x == len(cols) - 1 and len(cols[x]) > 2 else entries",
+        ),
     ),
 }
 
@@ -623,7 +391,7 @@ EQUIVALENT = {
     # bound is 2k - 1 less that even number.  A paired v is even, so v never
     # equals the bound and v <= bound is v < bound on every column; the
     # mutant's own test checks this on every column over [1, 10].
-    "_reduced met with <= for <": (branching, "_reduced", _reduced_mutant(0, 0, strict=False)),
+    WEAK_REDUCED: (branching, "_reduced", ("v < k + 1", "v <= k + 1")),
 }
 
 
@@ -698,9 +466,9 @@ def _detected(check) -> bool:
 @pytest.mark.parametrize("name", sorted(DETECTED))
 def test_mutant_is_detected(name, monkeypatch, time_bound, cold_caches):
     time_bound(30)
-    module, glob, replacement = DETECTED[name]
-    for bound in module if isinstance(module, tuple) else (module,):
-        monkeypatch.setattr(bound, glob, replacement)
+    module, glob = _patch(monkeypatch, name, *DETECTED[name])
+    if module is branching and glob in SUC_LOOP:
+        monkeypatch.setattr(verify, "staircase_search", _search_by_suc_chain)
     in_reference = module is characters and glob in REFERENCE
     check = CHECKS.get(name, CHECKS.get(glob, _sweeps_fail))
     check = _reference_disagrees if in_reference else check
@@ -716,10 +484,19 @@ def test_equivalent_mutant_passes_every_sweep(name, monkeypatch, time_bound, col
         for mu in enumerate_partitions(size, n)
     }
     characters.sp_character.cache_clear()
-    monkeypatch.setattr(*EQUIVALENT[name])
+    _patch(monkeypatch, name, *EQUIVALENT[name])
     assert not _detected(_sweeps_fail), name
     assert not _detected(_reference_disagrees), name
     assert {key: characters.sp_character(*key) for key in expected} == expected, name
+
+
+def test_an_edit_that_does_not_apply_fails_with_the_fault_name(monkeypatch):
+    """An edit whose old text is missing or repeated, or equals its new text,
+    makes no fault: it raises, naming the fault, and binds nothing."""
+    for edit in [("v > k", "v < k"), ("col", "row"), ("v % 2 == 0", "v % 2 == 0")]:
+        with pytest.raises(ValueError, match="a stale fault: .* is no edit of artifact.branching._reduced"):
+            _patch(monkeypatch, "a stale fault", branching, "_reduced", edit)
+        assert branching._reduced is REDUCED, edit
 
 
 def test_the_cold_caches_fixture_clears_every_module_cache():
@@ -730,88 +507,14 @@ def test_the_cold_caches_fixture_clears_every_module_cache():
     assert cached == {id(f) for f in SWEEP_CACHES}
 
 
-def test_the_strip_mutant_without_slack_is_the_transfer():
-    """The copied body differs from characters._strip_transfer only in the
-    slack, so the detected mutant is the bound lowered by 1 and nothing else."""
-    copy = _strip_transfer_mutant(0)
-    for n, size in SWEEPS:
-        for lam in enumerate_partitions(size, 2 * n):
-            for rows in (characters.king_rows, lambda j: j):
-                assert copy(lam, n, rows) == characters._strip_transfer(lam, n, rows), lam
-
-
-def test_the_dominant_search_mutant_with_its_bound_is_the_search():
-    """The copied body differs from crystal.dominant_columns only in the
-    switch, so the detected mutant is the dropped row bound and nothing else."""
-    copy = _dominant_columns_mutant(bounded=True)
-    for n, size in SWEEPS:
-        for lam in enumerate_partitions(size, 2 * n):
-            assert copy(lam, n) == crystal.dominant_columns(lam, n), lam
-
-
-def test_the_insertion_mutants_without_their_faults_are_the_rule(monkeypatch):
-    """The copied bodies differ from tableaux.column_pass,
-    branching._chain_step and branching.staircase_search only in their
-    switches, so each detected mutant is its one fault and nothing else: the
-    copies give the same column passes and the same staircase search."""
-    copy = _column_pass_mutant(bisect_left)
-    for k in range(5):
-        for col in combinations(range(1, 7), k):
-            for entries in product(range(1, 7), repeat=2):
-                assert copy(col, entries) == tableaux.column_pass(col, entries), (col, entries)
-    searches = {
-        (lam, n): list(branching.staircase_search(lam, n))
-        for n, size in SWEEPS
-        for lam in enumerate_partitions(size, 2 * n)
-    }
-    copy = _staircase_search_mutant()
-    for (lam, n), search in searches.items():
-        assert list(copy(lam, n)) == search, (lam, n)
-    monkeypatch.setattr(branching, "_chain_step", _chain_step_mutant())
-    for (lam, n), search in searches.items():
-        assert list(branching.staircase_search(lam, n)) == search, (lam, n)
-
-
-def test_the_littlewood_mutants_without_their_faults_are_the_rule():
-    """The copied bodies differ from king_modification, skew_key and
-    even_column_lr_count only in their switches, so each detected mutant is
-    its one fault and nothing else."""
-    modification = _king_modification_mutant(signed=True, slack=0)
-    count = _even_column_lr_count_mutant(lattice=True, even=True)
-    key = _skew_key_mutant(0)
-    for n, size in SWEEPS:
-        for lam in enumerate_partitions(size, 2 * n):
-            assert modification(lam, n) == characters.king_modification(lam, n), lam
-            for mu in enumerate_partitions(size, 2 * n):
-                if len(mu) > len(lam) or any(a > b for a, b in zip(mu, lam)):
-                    continue
-                assert count(lam, mu) == characters.even_column_lr_count(lam, mu), (lam, mu)
-                assert key(lam, mu) == characters.skew_key(lam, mu), (lam, mu)
-
-
-def test_the_suc_loop_mutants_without_their_faults_are_the_rule():
-    """The copied bodies differ from branching._suc_chain and
-    tableaux.column_product only in their switches, and the search they
-    drive gives staircase_search's output, so each detected suc mutant is
-    its one fault and nothing else."""
-    copies = (_suc_chain_mutant(), _suc_chain_mutant(product=_column_product_mutant()))
-    for n, size in (*SWEEPS, (2, 6)):
-        for lam in enumerate_partitions(size, 2 * n):
-            expected = list(branching.staircase_search(lam, n))
-            for copy in copies:
-                for cols in enumerate_columns(lam, 2 * n):
-                    assert copy(cols) == branching._suc_chain(cols), cols
-                assert list(_search_by_suc_chain(copy)(lam, n)) == expected, (lam, n)
-
-
 def test_reduced_with_a_weak_bound_is_reduced_on_every_column():
-    """The argument of the equivalent mutant "_reduced met with <= for <",
-    and the check that the copied body is _reduced: the same output on every
-    column over [1, 2n] for n <= 5, all of them columns over [1, 10]."""
-    copy, weak = _reduced_mutant(0, 0), _reduced_mutant(0, 0, strict=False)
+    """The argument of the equivalent mutant WEAK_REDUCED, made by its own
+    edits: the same output as _reduced on every column over [1, 2n] for
+    n <= 5, all of them columns over [1, 10]."""
+    weak = mutant(branching, "_reduced", *EQUIVALENT[WEAK_REDUCED][2:])
     for k in range(11):
         for col in combinations(range(1, 11), k):
-            assert copy(col) == weak(col) == branching._reduced(col), col
+            assert weak(col) == branching._reduced(col), col
 
 
 def _promotion_cases() -> list:
@@ -826,18 +529,6 @@ def test_the_kernels_fix_every_tableau_on_a_one_letter_window():
     """pr and pr_inv on [a, a] are the identity, flat and on rows, so
     promotion_relations may answer a one-letter window without a kernel."""
     assert not _a_one_letter_window_moves_an_entry()
-
-
-def test_the_kernel_mutants_without_their_faults_are_the_kernels():
-    """The copied bodies differ from promotion._pr_flat and _pr_inv_flat only
-    in their switches, so each detected kernel mutant is its one fault."""
-    pr_copy, pr_inv_copy = _pr_flat_mutant(), _pr_inv_flat_mutant()
-    for T, n in _promotion_cases():
-        tables = promotion._tables(tuple(map(len, T)))
-        E = [e for row in T for e in row]
-        for a, b in combinations_with_replacement(range(1, 2 * n + 2), 2):
-            assert pr_copy(E, tables, a, b) == PR_FLAT(E, tables, a, b), (T, a, b)
-            assert pr_inv_copy(E, tables, a, b) == PR_INV_FLAT(E, tables, a, b), (T, a, b)
 
 
 # The tableaux of _promotion_cases on which promotion_relations raises, and
@@ -859,9 +550,7 @@ def test_promotion_relations_match_their_former_body(name, monkeypatch, cold_cac
     in order, or raises the same ValueError, as the former body on every
     case, with the true kernels and under each value-level kernel fault."""
     if name is not None:
-        modules, glob, replacement = DETECTED[name]
-        for bound in modules:
-            monkeypatch.setattr(bound, glob, replacement)
+        _patch(monkeypatch, name, *DETECTED[name])
 
     def outcome(relations, T, n):
         try:

@@ -1,6 +1,7 @@
-"""The classes verify_shape keeps for the bijection suite, the tableau
-budget of a sweep, the draws of the random promotion suite, and the guards
-that catch an enumeration fault shared by the models and the oracle."""
+"""The classes verify_shape keeps for the bijection suite, the identities
+that tie one shape's rows to another's, the tableau budget of a sweep, the
+draws of the random promotion suite, and the guards that catch an
+enumeration fault shared by the models and the oracle."""
 
 import hashlib
 import json
@@ -12,7 +13,7 @@ from artifact import branching, characters, crystal, tableaux, verify
 from artifact.branching import p_aii
 from artifact.crystal import is_ghat_dominant
 from artifact.cli import EXIT_FAIL, EXIT_PASS, main
-from artifact.shapes import enumerate_partitions
+from artifact.shapes import canonical, enumerate_partitions, part
 from artifact.tableaux import enumerate_ssyt
 from artifact.verify import (
     BudgetExceeded,
@@ -53,6 +54,38 @@ def test_verify_shape_matches_its_former_body(n, max_size, cold_caches):
         cached.cache_clear()
     for report, lam in zip(reports, shapes):
         assert report._replace(elapsed=0.0) == verify_shape_reference(lam, n), lam
+
+
+# (n, max_size) -> the sweep's 2n-row shapes, and its nonempty shapes whose
+# complement is in the sweep too.
+IDENTITY_PAIRS = {(2, 12): (53, 93), (3, 8): (4, 19)}
+
+
+@pytest.mark.parametrize("n, max_size", sorted(IDENTITY_PAIRS))
+def test_rows_obey_the_cross_shape_identities(n, max_size):
+    """Every model's rows, the oracle's too, of one shape equal those of
+    another.  The det twist: a 2n-row lam has the rows of lam - 1^2n.
+    Duality: lam's complement in the 2n x lam_1 box has the rows of lam.
+    The full-column lemma: a 2n-row lam has the staircase search and the
+    dominant search of lam - 1^2n, each tableau with the column (1, ..., 2n)
+    put first, and P, the flags and the order unchanged."""
+    rows = {report.lam: report.rows for report in verify_sweep(n, max_size)}
+    full = tuple(range(1, 2 * n + 1))
+    twists = duals = 0
+    for lam, got in rows.items():
+        dual = canonical(part(lam, 1) - part(lam, y) for y in range(2 * n, 0, -1))
+        if lam and dual in rows:
+            assert rows[dual] == got, (lam, dual)
+            duals += 1
+        if len(lam) == 2 * n:
+            inner = canonical(p - 1 for p in lam)
+            assert got == rows[inner], lam
+            found = [([full, *T], P, a, b) for T, P, a, b in branching.staircase_search(inner, n)]
+            assert list(branching.staircase_search(lam, n)) == found, lam
+            dominant = [[full, *T] for T in crystal.dominant_columns(inner, n)]
+            assert crystal.dominant_columns(lam, n) == dominant, lam
+            twists += 1
+    assert (twists, duals) == IDENTITY_PAIRS[n, max_size]
 
 
 def test_the_sweep_runs_no_second_suc_chain(monkeypatch):
