@@ -288,6 +288,8 @@ def main(argv=None) -> int:
     try:
         if args.n < 1:
             raise UsageError("n must be positive")
+        if args.func in (cmd_verify, cmd_bijection) and args.n > 127:
+            raise UsageError("n must be at most 127: promotion runs on the letters 1 to 254")
         return args.func(args)
     except (UsageError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,8 @@
 bijections built from promotion composites.
 
 Skew and ragged tableaux are dicts mapping boxes (x, y) to an entry, with
-None marking a hole.  Promotion and its inverse slide on a flat row-major
-list of the entries, with per-shape neighbour tables.
+None marking a hole.  Promotion and its inverse slide on the row-major
+entries as bytes, with per-shape neighbour tables and per-window byte maps.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def _tables(lengths: tuple[int, ...]) -> tuple:
     # Rows weakly (h0 to h1) and columns strictly (v0 to v1) increase from E[0] >= 1.
     (h0, h1), (v0, v1) = _readers(right, size), _readers(below, size)
 
-    def is_ssyt(E: list[int]) -> bool:
+    def is_ssyt(E: bytes) -> bool:
         return not E or E[0] >= 1 and all(map(le, h0(E), h1(E))) and all(map(lt, v0(E), v1(E)))
 
     pr_movers = sorted(range(size), key=lambda i: (cells[i][0], -cells[i][1]))
@@ -156,50 +156,61 @@ def _readers(neighbour: list[int], size: int) -> list:
     return [itemgetter(*side, side[0]) for side in zip(*pairs)] or [lambda E: ()] * 2
 
 
-def _pr_flat(E: list[int], tables: tuple, a: int, b: int) -> list[int]:
-    """pr on the window [a, b] of the row-major entries E of a tableau: each
-    b, leftmost first, bottom first in a column, swaps with its larger left
-    or above neighbour in [a, b), above on a tie, and becomes a; the other
-    in-window entries increase by 1.  W reads 0 for all other entries, the
-    settled travelers too, so a later one cannot drag them along.  With no
-    b nothing moves, and the image is the shift (E itself when a == b)."""
+@cache
+def _window_maps(a: int, b: int) -> tuple[bytes, ...]:
+    """pr's shift, rotating [a, b] ([a, b) up by 1, b to a), and read mask (0
+    off (a, b]), then pr_inv's, the inverse rotation and b + 1 off [a, b]."""
+    w, out = bytes(range(a, b + 1)), bytes([b + 1])
+    up = bytes.maketrans(w, w[1:] + w[:1]), bytes(a + 1) + w[1:] + bytes(255 - b)
+    down = bytes.maketrans(w, w[-1:] + w[:-1]), out * a + w + out * (255 - b)
+    return up + down
+
+
+def _pr_flat(E: bytes, tables: tuple, a: int, b: int) -> bytes:
+    """pr on the window [a, b] of the row-major bytes E of a tableau: each b,
+    leftmost first, bottom first in a column, swaps with its larger left or
+    above neighbour in [a, b), above on a tie, and becomes a; the others in
+    [a, b) go up by 1.  The slide reads 0 off (a, b], so no traveler drags a
+    settled one.  With no b nothing moves, and the image is the shift."""
+    shift, mask, _, _ = _window_maps(a, b)
+    S = E.translate(shift)
     if b not in E:
-        return [e + 1 if a <= e < b else e for e in E]
+        return S
     left, above, movers = tables[0]
-    W = [e if a <= e < b else 0 for e in E]
-    W.append(0)
+    W = bytearray(S + b"\0")
     for i in movers:
         if E[i] == b:
             while True:
                 l, u = left[i], above[i]
-                lv, uv = W[l], W[u]
+                lv, uv = mask[W[l]], mask[W[u]]
                 if lv > uv:
                     W[i], i = lv, l
                 elif uv:
                     W[i], i = uv, u
                 else:
-                    W[i] = 0
+                    W[i] = a
                     break
-    return [w + 1 if w else a if a <= e <= b else e for w, e in zip(W, E)]
+    return bytes(W[:-1])
 
 
-def _pr_inv_flat(E: list[int], tables: tuple, a: int, b: int) -> list[int]:
-    """pr_inv on the window [a, b] of the row-major entries E of a tableau:
+def _pr_inv_flat(E: bytes, tables: tuple, a: int, b: int) -> bytes:
+    """pr_inv on the window [a, b] of the row-major bytes E of a tableau:
     each a becomes b and, rightmost first, top first in a column, swaps with
     its smaller right or below neighbour <= b, below on a tie; the other
-    in-window entries decrease by 1.  W reads b + 1 for all other entries.
+    in-window entries decrease by 1.  The slide reads b + 1 off [a, b].
     With no a nothing moves, and the image is the shift (E when a == b)."""
+    _, _, shift, mask = _window_maps(a, b)
+    S = E.translate(shift)
     if a not in E:
-        return [e - 1 if a < e <= b else e for e in E]
+        return S
     right, below, movers = tables[1]
     out = b + 1
-    W = [b if e == a else e - 1 if a < e <= b else out for e in E]
-    W.append(out)
+    W = bytearray(S + bytes([out]))
     for i in movers:
         if E[i] == a:
             while True:
                 r, d = right[i], below[i]
-                rv, dv = W[r], W[d]
+                rv, dv = mask[W[r]], mask[W[d]]
                 if rv < dv:
                     W[i], i = rv, r
                 elif dv < out:
@@ -207,17 +218,23 @@ def _pr_inv_flat(E: list[int], tables: tuple, a: int, b: int) -> list[int]:
                 else:
                     W[i] = b
                     break
-    return [e if w == out else w for w, e in zip(W, E)]
+    return bytes(W[:-1])
+
+
+def _flat(T: Rows, top: int) -> tuple[tuple, bytes]:
+    """The kernel tables of T's shape and T's row-major entries as bytes;
+    ValueError unless T is semistandard and its entries and top are <= 254."""
+    if not validate_ssyt(T):
+        raise ValueError(f"not a semistandard tableau: {T}")
+    if max([top, *(row[-1] for row in T)]) > 254:
+        raise ValueError("promotion runs on the letters 1 to 254")
+    return _tables(tuple(map(len, T))), bytes(e for row in T for e in row)
 
 
 def _on_rows(kernel, T: Rows, windows: list[tuple[int, int]], name: str) -> list[Rows]:
     """T, then the kernel's image after each window [a, b] in turn, as rows;
-    ValueError unless T is semistandard, each window has 1 <= a <= b and
-    each image passes the shape's own semistandard test."""
-    if not validate_ssyt(T):
-        raise ValueError(f"not a semistandard tableau: {T}")
-    tables = _tables(tuple(map(len, T)))
-    E = [e for row in T for e in row]
+    ValueError as in _flat, or unless 1 <= a <= b and the image is semistandard."""
+    tables, E = _flat(T, max([b for _, b in windows], default=0))
     images = [T]
     for a, b in windows:
         if not 1 <= a <= b:
@@ -225,7 +242,7 @@ def _on_rows(kernel, T: Rows, windows: list[tuple[int, int]], name: str) -> list
         E = kernel(E, tables, a, b)
         if not tables[3](E):
             raise ValueError(f"{name} broke semistandardness")
-        images.append([E[s:t] for s, t in tables[2]])
+        images.append([list(E[s:t]) for s, t in tables[2]])
     return images
 
 

@@ -12,7 +12,7 @@ from itertools import accumulate
 from .branching import staircase_search
 from .characters import littlewood_branching, sp_dimension
 from .crystal import dominant_columns, wt_ghat, wt_k
-from .promotion import _pr_flat, _pr_inv_flat, _tables, phi, psi
+from .promotion import _flat, _pr_flat, _pr_inv_flat, phi, psi
 from .shapes import Partition, canonical, conjugate, enumerate_partitions, format_partition
 from .tableaux import (
     Rows,
@@ -22,7 +22,6 @@ from .tableaux import (
     freeze,
     rows_of,
     shape,
-    validate_ssyt,
 )
 
 
@@ -177,11 +176,8 @@ def promotion_relations(T: Rows, n: int) -> SuiteResult:
     letters (pr and pr_inv fix every tableau on a one-letter window), each
     new image is checked to be semistandard, raising as pr or pr_inv would,
     and the relations compare ids."""
-    if not validate_ssyt(T):
-        raise ValueError(f"not a semistandard tableau: {T}")
-    tables = _tables(tuple(map(len, T)))
-    E = [e for row in T for e in row]
-    images, ids = [E], {tuple(E): 0}
+    tables, E = _flat(T, 2 * n)
+    images, ids = [E], {E: 0}
 
     def interned(kernel, name: str):
         memo: dict[tuple[int, int, int], int] = {}
@@ -191,7 +187,7 @@ def promotion_relations(T: Rows, n: int) -> SuiteResult:
                 return i
             if (j := memo.get((i, a, b))) is None:
                 U = kernel(images[i], tables, a, b)
-                j = memo[i, a, b] = ids.setdefault(tuple(U), len(images))
+                j = memo[i, a, b] = ids.setdefault(U, len(images))
                 if j == len(images):
                     if not tables[3](U):
                         raise ValueError(f"{name} broke semistandardness")

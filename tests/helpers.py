@@ -36,6 +36,7 @@ SWEEP_CACHES = (
     branching._staircase_prefixes,
     crystal._dominance_step,
     promotion._tables,
+    promotion._window_maps,
     tableaux.after,
     tableaux.column_pass,
 )
@@ -241,10 +242,57 @@ def verify_shape_reference(lam: Partition, n: int) -> VerificationReport:
     return VerificationReport(n, lam, rows, total, sp_dim_sum, dominant, highest, lowest)
 
 
+def pr_flat_reference(E: list[int], tables: tuple, a: int, b: int) -> list[int]:
+    """The former list body of promotion._pr_flat: W reads each in-window
+    entry below b, and 0 for all others, the settled travelers too."""
+    if b not in E:
+        return [e + 1 if a <= e < b else e for e in E]
+    left, above, movers = tables[0]
+    W = [e if a <= e < b else 0 for e in E]
+    W.append(0)
+    for i in movers:
+        if E[i] == b:
+            while True:
+                l, u = left[i], above[i]
+                lv, uv = W[l], W[u]
+                if lv > uv:
+                    W[i], i = lv, l
+                elif uv:
+                    W[i], i = uv, u
+                else:
+                    W[i] = 0
+                    break
+    return [w + 1 if w else a if a <= e <= b else e for w, e in zip(W, E)]
+
+
+def pr_inv_flat_reference(E: list[int], tables: tuple, a: int, b: int) -> list[int]:
+    """The former list body of promotion._pr_inv_flat: W reads each a as b,
+    each other in-window entry less 1, and b + 1 for all others."""
+    if a not in E:
+        return [e - 1 if a < e <= b else e for e in E]
+    right, below, movers = tables[1]
+    out = b + 1
+    W = [b if e == a else e - 1 if a < e <= b else out for e in E]
+    W.append(out)
+    for i in movers:
+        if E[i] == a:
+            while True:
+                r, d = right[i], below[i]
+                rv, dv = W[r], W[d]
+                if rv < dv:
+                    W[i], i = rv, r
+                elif dv < out:
+                    W[i], i = dv, d
+                else:
+                    W[i] = b
+                    break
+    return [e if w == out else w for w, e in zip(W, E)]
+
+
 def promotion_relations_reference(T: Rows, n: int) -> SuiteResult:
     """The former body of verify.promotion_relations, calling the kernels
-    that promotion binds: every relation runs the kernels on flat lists,
-    and an image is checked to be semistandard on the first level, on a
+    that promotion binds: every relation runs the kernels on the flat bytes
+    of T and of its images, and an image is checked to be semistandard on the first level, on a
     commutation's left side and wherever its relation fails."""
     if not tableaux.validate_ssyt(T):
         raise ValueError(f"not a semistandard tableau: {T}")
@@ -252,7 +300,7 @@ def promotion_relations_reference(T: Rows, n: int) -> SuiteResult:
     is_ssyt = tables[3]
     pr, pr_inv = promotion._pr_flat, promotion._pr_inv_flat
 
-    def differs(U: list[int], V: list[int], name: str = "promotion") -> bool:
+    def differs(U: bytes, V: bytes, name: str = "promotion") -> bool:
         if U == V:
             return False
         if not is_ssyt(U):
@@ -262,7 +310,7 @@ def promotion_relations_reference(T: Rows, n: int) -> SuiteResult:
     out = SuiteResult()
     N = 2 * n
     windows = [(a, b) for a in range(1, N + 1) for b in range(a, N + 1)]
-    E = [e for row in T for e in row]
+    E = bytes(e for row in T for e in row)
     up = {w: pr(E, tables, *w) for w in windows}
     down = {w: pr_inv(E, tables, *w) for w in windows}
     if not all(map(is_ssyt, up.values())):

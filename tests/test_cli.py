@@ -417,6 +417,20 @@ def test_output_is_deterministic(capsys):
 
 
 # Tiny sizes only (n <= 2, sizes <= 3), so that no fuzzed line is slow.
+@pytest.mark.parametrize("command", ["verify", "bijection"])
+def test_promotion_commands_reject_n_above_127(capsys, command):
+    """verify and bijection run promotion on the letters 1 to 2n <= 254;
+    show, which runs none, keeps every positive n."""
+    extra = ["--max-size", "1"] if command == "verify" else []
+    assert main([command, "--n", "128", *extra]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n must be at most 127: promotion runs on the letters 1 to 254\n"
+    assert main(["bijection", "--n", "127", "--json"]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["n"] == 127
+    assert main(["show", "--n", "128", "--tableau", "1,2;3", "--json"]) == EXIT_PASS
+
+
 _NS = ["2", "1", "0"]
 _OPTIONS = {
     "verify": ("--max-size", ["3", "2", "1", "0"]),

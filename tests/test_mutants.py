@@ -43,7 +43,9 @@ decompose(restricted_gl_character(lam, n), n) still runs, is detected
 instead when that reference disagrees with littlewood_branching on a shape
 of the same two sweeps, or raises RuntimeError.  A fault that no check can
 see stays in the table, marked equivalent, with the argument and the check
-that does see it.
+that does see it.  The P-kernel faults of P_FAULTS leave every report of
+the sweeps unchanged, and must instead fail the Berele test,
+test_p_is_berele_insertion_of_both_reading_words.
 """
 
 import __future__
@@ -64,6 +66,7 @@ from artifact.verify import (
     promotion_suite_random,
     verify_sweep,
 )
+import test_branching
 from helpers import SWEEP_CACHES, promotion_relations_reference, random_shape
 
 SWEEPS = ((2, 5), (3, 4))
@@ -395,6 +398,24 @@ EQUIVALENT = {
 }
 
 
+# P-kernel faults that keep both staircases fixed: every report of the
+# sweeps and of verify_sweep(2, 6) is unchanged, highest and lowest (T, P)
+# pairs included, whether P comes from the search or from the suc loop, so
+# no check above can see them.  The Berele test of test_branching does.
+P_FAULTS = {
+    "the column pass handing on what it bumps bottom first": (
+        (tableaux, branching),
+        "column_pass",
+        ("return tuple(col), tuple(bumped)", "return tuple(col), tuple(bumped[::-1])"),
+    ),
+    "the column product passing each column its entries bottom first": (
+        (tableaux, branching),
+        "column_product",
+        ("column_pass(col, entries)", "column_pass(col, entries[::-1])"),
+    ),
+}
+
+
 def _sweeps_fail() -> bool:
     return any(not report.passed for sweep in SWEEPS for report in verify_sweep(*sweep))
 
@@ -436,7 +457,7 @@ def _a_one_letter_window_moves_an_entry() -> bool:
     kernels = (promotion._pr_flat, promotion._pr_inv_flat)
     for T, n in _promotion_cases():
         tables = promotion._tables(tuple(map(len, T)))
-        E = [e for row in T for e in row]
+        E = bytes(e for row in T for e in row)
         for a in range(1, 2 * n + 2):
             if any(kernel(E, tables, a, a) != E for kernel in kernels):
                 return True
@@ -488,6 +509,32 @@ def test_equivalent_mutant_passes_every_sweep(name, monkeypatch, time_bound, col
     assert not _detected(_sweeps_fail), name
     assert not _detected(_reference_disagrees), name
     assert {key: characters.sp_character(*key) for key in expected} == expected, name
+
+
+def _staircase_reports(monkeypatch) -> list:
+    """Each report of the sweeps and of verify_sweep(2, 6), from the search
+    and then from the suc loop, as (lam, rows, highest, lowest)."""
+    reports = []
+    for search in (STAIRCASE_SEARCH, _search_by_suc_chain):
+        monkeypatch.setattr(verify, "staircase_search", search)
+        for sweep in (*SWEEPS, (2, 6)):
+            reports += [(r.lam, r.rows, r.highest, r.lowest) for r in verify_sweep(*sweep)]
+    monkeypatch.setattr(verify, "staircase_search", STAIRCASE_SEARCH)
+    return reports
+
+
+@pytest.mark.parametrize("name", sorted(P_FAULTS))
+def test_p_fault_keeps_the_staircases_and_fails_the_berele_test(
+    name, monkeypatch, time_bound, cold_caches
+):
+    time_bound(60)
+    expected = _staircase_reports(monkeypatch)
+    _patch(monkeypatch, name, *P_FAULTS[name])
+    for cached in SWEEP_CACHES:
+        cached.cache_clear()
+    assert _staircase_reports(monkeypatch) == expected, name
+    with pytest.raises(AssertionError):
+        test_branching.test_p_is_berele_insertion_of_both_reading_words()
 
 
 def test_an_edit_that_does_not_apply_fails_with_the_fault_name(monkeypatch):

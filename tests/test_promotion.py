@@ -26,7 +26,14 @@ from artifact.promotion import (
 from artifact.shapes import enumerate_partitions
 from artifact.tableaux import enumerate_ssyt, row_word, validate_ssyt
 from artifact.verify import random_ssyt
-from helpers import SWEEP_CACHES, insertion_tableau, random_shape, skew_row_word
+from helpers import (
+    SWEEP_CACHES,
+    insertion_tableau,
+    pr_flat_reference,
+    pr_inv_flat_reference,
+    random_shape,
+    skew_row_word,
+)
 
 
 def test_cells_rows_roundtrip():
@@ -351,7 +358,7 @@ def test_promotion_relations_check_the_images(monkeypatch, source, window):
     (c - b >= 2) or the composition family, computes that image, and the
     suite must raise as pr would."""
     T = [[1, 2, 3], [2, 4], [5]]
-    E = [1, 2, 3, 2, 4, 5]
+    E = bytes([1, 2, 3, 2, 4, 5])
     kernel = verify._pr_flat
     tables = promotion._tables((3, 2, 1))
     target = E if source is None else kernel(E, tables, *source)
@@ -360,7 +367,7 @@ def test_promotion_relations_check_the_images(monkeypatch, source, window):
     assert source is None or images.count(target) == 1
 
     def faulty_pr(U, tables, a, b):
-        return [0] * len(U) if (U, (a, b)) == (target, window) else kernel(U, tables, a, b)
+        return bytes(len(U)) if (U, (a, b)) == (target, window) else kernel(U, tables, a, b)
 
     monkeypatch.setattr(verify, "_pr_flat", faulty_pr)
     with pytest.raises(ValueError, match="^promotion broke semistandardness$"):
@@ -372,8 +379,9 @@ def test_promotion_relations_run_each_kernel_input_once(monkeypatch, cold_caches
     entries, a, b) input repeats within one call, none has a one-letter
     window, which the memo answers with T's own id, and the check count stays
     38 at n = 2 and 117 at n = 3.  A second call on T gives the same result,
-    and the only library cache that grows is promotion._tables, by one entry
-    per new shape."""
+    and the only library caches that grow are promotion._tables, by one
+    entry per new shape, and promotion._window_maps, by one entry per window
+    not seen before."""
     inputs = []
 
     def recorded(kernel):
@@ -388,7 +396,7 @@ def test_promotion_relations_run_each_kernel_input_once(monkeypatch, cold_caches
     rng = random.Random(7)
     cases = [(T, 2) for lam in enumerate_partitions(3, 4) for T in enumerate_ssyt(lam, 4)]
     cases += [(random_ssyt(random_shape(8, 6, rng), 6, rng), 3) for _ in range(20)]
-    shapes = set()
+    shapes, windows = set(), set()
     for T, n in cases:
         sizes = [cached.cache_info().currsize for cached in SWEEP_CACHES]
         inputs.clear()
@@ -398,11 +406,14 @@ def test_promotion_relations_run_each_kernel_input_once(monkeypatch, cold_caches
         assert first.checked == {2: 38, 3: 117}[n], T
         second = verify.promotion_relations(T, n)
         assert (second.checked, second.failures) == (first.checked, first.failures), T
-        new = tuple(map(len, T)) not in shapes
+        new = {
+            promotion._tables: int(tuple(map(len, T)) not in shapes),
+            promotion._window_maps: len({(a, b) for _, _, a, b in inputs} - windows),
+        }
         shapes.add(tuple(map(len, T)))
+        windows.update((a, b) for _, _, a, b in inputs)
         grown = [cached.cache_info().currsize - k for cached, k in zip(SWEEP_CACHES, sizes)]
-        expected = [int(new) if cached is promotion._tables else 0 for cached in SWEEP_CACHES]
-        assert grown == expected, T
+        assert grown == [new.get(cached, 0) for cached in SWEEP_CACHES], T
 
 
 def test_the_per_shape_check_is_validate_ssyt():
@@ -410,10 +421,65 @@ def test_the_per_shape_check_is_validate_ssyt():
     for lam in enumerate_partitions(5, 5):
         _, _, spans, is_ssyt = promotion._tables(lam)
         for E in product(range(5), repeat=sum(lam)):
-            E = list(E)
-            assert is_ssyt(E) == validate_ssyt([E[s:t] for s, t in spans]), (lam, E)
+            E = bytes(E)
+            assert is_ssyt(E) == validate_ssyt([list(E[s:t]) for s, t in spans]), (lam, E)
             checked += 1
     assert checked == 25431
+
+
+def test_the_bytes_kernels_are_the_list_kernels():
+    """_pr_flat and _pr_inv_flat on bytes give the former list kernels'
+    images on every tableau of (2, <= 6) and (3, <= 5), over every window
+    [a, b] of [1, 2n], one-letter windows included."""
+    pairs = 0
+    for n, size in ((2, 6), (3, 5)):
+        for lam in enumerate_partitions(size, 2 * n):
+            tables = promotion._tables(lam)
+            for T in enumerate_ssyt(lam, 2 * n):
+                E = [e for row in T for e in row]
+                for a, b in combinations_with_replacement(range(1, 2 * n + 1), 2):
+                    got = promotion._pr_flat(bytes(E), tables, a, b)
+                    assert list(got) == pr_flat_reference(E, tables, a, b), (T, a, b)
+                    got = promotion._pr_inv_flat(bytes(E), tables, a, b)
+                    assert list(got) == pr_inv_flat_reference(E, tables, a, b), (T, a, b)
+                    pairs += 1
+    assert pairs == 63812
+
+
+LETTER_LIMIT_CALLS = {
+    "pr": [(pr, [[1, 2], [3]], 1, 255), (pr, [[1, 255]], 1, 2)],
+    "pr_inv": [(pr_inv, [[1, 2], [3]], 2, 255), (pr_inv, [[1, 255]], 1, 2)],
+    "pr_images": [(pr_images, [[1, 2], [3]], [(1, 2), (3, 255)]), (pr_images, [[255]], [])],
+    "phi": [(phi, [[1, 2], [3]], 128), (phi, [[1, 255]], 2)],
+    "psi": [(psi, [[1, 2], [3]], 128), (psi, [[1, 255]], 2)],
+    "res_via_promotion": [
+        (res_via_promotion, [[1, 2], [3]], 1, 1, 3, 255),
+        (res_via_promotion, [[1, 255]], 1, 1, 3, 4),
+    ],
+    "promotion_relations": [
+        (verify.promotion_relations, [[1, 2], [3]], 128),
+        (verify.promotion_relations, [[1, 255]], 2),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LETTER_LIMIT_CALLS))
+def test_promotion_names_its_letter_limit(name):
+    """A window end or an entry above 254 raises a ValueError that names the
+    limit, before any kernel runs: pr_inv's sentinel b + 1 must be a byte."""
+    for op, *args in LETTER_LIMIT_CALLS[name]:
+        with pytest.raises(ValueError, match="^promotion runs on the letters 1 to 254$"):
+            op(*args)
+
+
+def test_promotion_runs_up_to_the_letter_limit():
+    """254 is both an entry and a window end, and n = 127 has its windows."""
+    assert pr([[1, 254]], 1, 254) == [[1, 2]]
+    assert pr_inv([[1, 2]], 1, 254) == [[1, 254]]
+    assert pr_images([[254]], [(254, 254)]) == [[[254]], [[254]]]
+    assert max(b for _, b in phi_factors(127) + psi_factors(127)) == 254
+    for op in (phi, psi):
+        assert validate_ssyt(op([[1, 2], [3]], 127))
 
 
 def test_adjacent_travelers_regression():
