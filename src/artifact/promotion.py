@@ -124,7 +124,7 @@ def res(T: Rows, a: int, b: int, c: int, d: int) -> Rows:
 
 @cache
 def _tables(lengths: tuple[int, ...]) -> tuple:
-    """Tables of the kernels for these row lengths, on row-major cell indices
+    """Tables of _slide for these row lengths, on row-major cell indices
     and a sentinel index, the box count, for every missing neighbour:
     ((left, above, pr's movers by (x, -y)), (right, below, pr_inv's movers by
     (-x, y)), the row slices, a semistandard test for a straight shape)."""
@@ -157,72 +157,53 @@ def _readers(neighbour: list[int], size: int) -> list:
 
 
 @cache
-def _window_maps(a: int, b: int) -> tuple[bytes, ...]:
-    """pr's shift, rotating [a, b] ([a, b) up by 1, b to a), and read mask (0
-    off (a, b]), then pr_inv's, the inverse rotation and b + 1 off [a, b]."""
-    w, out = bytes(range(a, b + 1)), bytes([b + 1])
-    up = bytes.maketrans(w, w[1:] + w[:1]), bytes(a + 1) + w[1:] + bytes(255 - b)
-    down = bytes.maketrans(w, w[-1:] + w[:-1]), out * a + w + out * (255 - b)
-    return up + down
+def _window_maps(a: int, b: int) -> tuple[tuple, tuple]:
+    """For pr, then pr_inv: (the shift, the read mask, the traveling letter,
+    the letter it settles as).  pr's shift rotates [a, b] ([a, b) up by 1, b
+    to a) and its mask reads (a, b] as is; pr_inv's shift is the inverse
+    rotation and its mask reads e in [a, b] as b + 1 - e.  Both masks read 0
+    for every other letter, the sentinel byte 0 too."""
+    w, off = bytes(range(a, b + 1)), bytes(255 - b)
+    up = bytes.maketrans(w, w[1:] + w[:1]), bytes(a + 1) + w[1:] + off, b, a
+    down = bytes.maketrans(w, w[-1:] + w[:-1]), bytes(a) + bytes(range(len(w), 0, -1)) + off, a, b
+    return up, down
 
 
-def _pr_flat(E: bytes, tables: tuple, a: int, b: int) -> bytes:
-    """pr on the window [a, b] of the row-major bytes E of a tableau: each b,
-    leftmost first, bottom first in a column, swaps with its larger left or
-    above neighbour in [a, b), above on a tie, and becomes a; the others in
-    [a, b) go up by 1.  The slide reads 0 off (a, b], so no traveler drags a
-    settled one.  With no b nothing moves, and the image is the shift."""
-    shift, mask, _, _ = _window_maps(a, b)
+def _slide(E: bytes, tables: tuple, a: int, b: int, d: int) -> bytes:
+    """pr (d = 0) or pr_inv (d = 1) on the window [a, b] of the row-major
+    bytes E of a tableau.  Every letter of [a, b] takes its shift; then each
+    traveler (b for pr, a for pr_inv), in the direction's mover order,
+    slides to its first neighbour (left for pr, right for pr_inv) if that
+    reads larger through the mask than its second (above, below), else to
+    its second if that reads nonzero, else settles as the other end of the
+    window.  A settled pr traveler reads 0, so no traveler drags it.  With
+    no traveler nothing moves, and the image is the shift."""
+    shift, mask, t, settled = _window_maps(a, b)[d]
     S = E.translate(shift)
-    if b not in E:
+    if t not in E:
         return S
-    left, above, movers = tables[0]
+    first, second, movers = tables[d]
     W = bytearray(S + b"\0")
     for i in movers:
-        if E[i] == b:
+        if E[i] == t:
             while True:
-                l, u = left[i], above[i]
-                lv, uv = mask[W[l]], mask[W[u]]
-                if lv > uv:
-                    W[i], i = lv, l
-                elif uv:
-                    W[i], i = uv, u
+                f, s = first[i], second[i]
+                fv, sv = mask[W[f]], mask[W[s]]
+                if fv > sv:
+                    W[i], i = W[f], f
+                elif sv:
+                    W[i], i = W[s], s
                 else:
-                    W[i] = a
+                    W[i] = settled
                     break
     return bytes(W[:-1])
 
-
-def _pr_inv_flat(E: bytes, tables: tuple, a: int, b: int) -> bytes:
-    """pr_inv on the window [a, b] of the row-major bytes E of a tableau:
-    each a becomes b and, rightmost first, top first in a column, swaps with
-    its smaller right or below neighbour <= b, below on a tie; the other
-    in-window entries decrease by 1.  The slide reads b + 1 off [a, b].
-    With no a nothing moves, and the image is the shift (E when a == b)."""
-    _, _, shift, mask = _window_maps(a, b)
-    S = E.translate(shift)
-    if a not in E:
-        return S
-    right, below, movers = tables[1]
-    out = b + 1
-    W = bytearray(S + bytes([out]))
-    for i in movers:
-        if E[i] == a:
-            while True:
-                r, d = right[i], below[i]
-                rv, dv = mask[W[r]], mask[W[d]]
-                if rv < dv:
-                    W[i], i = rv, r
-                elif dv < out:
-                    W[i], i = dv, d
-                else:
-                    W[i] = b
-                    break
-    return bytes(W[:-1])
+# The names of _slide's directions d = 0 and 1 in its errors.
+_NAMES = ("promotion", "inverse promotion")
 
 
 def _flat(T: Rows, top: int) -> tuple[tuple, bytes]:
-    """The kernel tables of T's shape and T's row-major entries as bytes;
+    """The _slide tables of T's shape and T's row-major entries as bytes;
     ValueError unless T is semistandard and its entries and top are <= 254."""
     if not validate_ssyt(T):
         raise ValueError(f"not a semistandard tableau: {T}")
@@ -231,37 +212,38 @@ def _flat(T: Rows, top: int) -> tuple[tuple, bytes]:
     return _tables(tuple(map(len, T))), bytes(e for row in T for e in row)
 
 
-def _on_rows(kernel, T: Rows, windows: list[tuple[int, int]], name: str) -> list[Rows]:
-    """T, then the kernel's image after each window [a, b] in turn, as rows;
-    ValueError as in _flat, or unless 1 <= a <= b and the image is semistandard."""
+def _on_rows(d: int, T: Rows, windows: list[tuple[int, int]]) -> list[Rows]:
+    """T, then its image under _slide in direction d after each window [a, b]
+    in turn, as rows; ValueError as in _flat, or unless 1 <= a <= b and the
+    image is semistandard."""
     tables, E = _flat(T, max([b for _, b in windows], default=0))
     images = [T]
     for a, b in windows:
         if not 1 <= a <= b:
             raise ValueError(f"promotion window [{a}, {b}] needs 1 <= a <= b")
-        E = kernel(E, tables, a, b)
+        E = _slide(E, tables, a, b, d)
         if not tables[3](E):
-            raise ValueError(f"{name} broke semistandardness")
+            raise ValueError(f"{_NAMES[d]} broke semistandardness")
         images.append([list(E[s:t]) for s, t in tables[2]])
     return images
 
 
 def pr_inv(T: Rows, a: int, b: int) -> Rows:
-    """Inverse promotion on the letter window [a, b] (see _pr_inv_flat); T
-    must be semistandard."""
-    return _on_rows(_pr_inv_flat, T, [(a, b)], "inverse promotion")[1]
+    """Inverse promotion on the letter window [a, b] (see _slide); T must be
+    semistandard."""
+    return _on_rows(1, T, [(a, b)])[1]
 
 
 def pr(T: Rows, a: int, b: int) -> Rows:
-    """Promotion on the letter window [a, b] (see _pr_flat); two-sided
-    inverse of pr_inv.  T must be semistandard."""
-    return _on_rows(_pr_flat, T, [(a, b)], "promotion")[1]
+    """Promotion on the letter window [a, b] (see _slide); two-sided inverse
+    of pr_inv.  T must be semistandard."""
+    return _on_rows(0, T, [(a, b)])[1]
 
 
 def pr_images(T: Rows, windows: list[tuple[int, int]]) -> list[Rows]:
     """T, then its image under pr on each window in turn: the composite's
     partial products.  T must be semistandard, also with no window."""
-    return _on_rows(_pr_flat, T, windows, "promotion")
+    return _on_rows(0, T, windows)
 
 
 def _factors(n: int, p: int) -> list[tuple[int, int]]:
@@ -302,7 +284,7 @@ def res_via_promotion(T: Rows, a: int, b: int, c: int, d: int) -> Rows:
     if any(e < a for row in T for e in row):
         raise ValueError("entries below the lower band")
     windows = [(c - k, d - k + 1) for k in range(1, c - b)]
-    U = _on_rows(_pr_inv_flat, T, windows, "inverse promotion")[-1]
+    U = _on_rows(1, T, windows)[-1]
     top = b + 1 + d - c
     rows = [[e + (c - b - 1) if e > b else e for e in row if e <= top] for row in U]
     return [row for row in rows if row]

@@ -12,7 +12,7 @@ from itertools import accumulate
 from .branching import staircase_search
 from .characters import littlewood_branching, sp_dimension
 from .crystal import dominant_columns, wt_ghat, wt_k
-from .promotion import _flat, _pr_flat, _pr_inv_flat, phi, psi
+from .promotion import _NAMES, _flat, _slide, phi, psi
 from .shapes import Partition, canonical, conjugate, enumerate_partitions, format_partition
 from .tableaux import (
     Rows,
@@ -171,32 +171,32 @@ def bijection_suite(report: VerificationReport) -> SuiteResult:
 def promotion_relations(T: Rows, n: int) -> SuiteResult:
     """Roundtrips, involutivity on adjacent windows, commutation of distant
     windows, and composition of overlapping windows, on one semistandard
-    tableau, by the flat kernels.  Each distinct image of T gets an id (T's
-    is 0), each kernel runs once per image and window of two or more
+    tableau, by the flat slide.  Each distinct image of T gets an id (T's
+    is 0), each direction runs once per image and window of two or more
     letters (pr and pr_inv fix every tableau on a one-letter window), each
     new image is checked to be semistandard, raising as pr or pr_inv would,
     and the relations compare ids."""
     tables, E = _flat(T, 2 * n)
     images, ids = [E], {E: 0}
 
-    def interned(kernel, name: str):
+    def interned(d: int):
         memo: dict[tuple[int, int, int], int] = {}
 
         def image(i: int, a: int, b: int) -> int:
             if a == b:
                 return i
             if (j := memo.get((i, a, b))) is None:
-                U = kernel(images[i], tables, a, b)
+                U = _slide(images[i], tables, a, b, d)
                 j = memo[i, a, b] = ids.setdefault(U, len(images))
                 if j == len(images):
                     if not tables[3](U):
-                        raise ValueError(f"{name} broke semistandardness")
+                        raise ValueError(f"{_NAMES[d]} broke semistandardness")
                     images.append(U)
             return j
 
         return image
 
-    pr, pr_inv = interned(_pr_flat, "promotion"), interned(_pr_inv_flat, "inverse promotion")
+    pr, pr_inv = interned(0), interned(1)
     out = SuiteResult()
     N = 2 * n
     windows = [(a, b) for a in range(1, N + 1) for b in range(a, N + 1)]

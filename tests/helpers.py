@@ -3,6 +3,7 @@
 import random
 from bisect import bisect_right
 from collections import Counter
+from functools import partial
 
 from artifact import branching, characters, crystal, promotion, tableaux
 from artifact.branching import _recording, _suc_chain, staircase_flags
@@ -243,8 +244,9 @@ def verify_shape_reference(lam: Partition, n: int) -> VerificationReport:
 
 
 def pr_flat_reference(E: list[int], tables: tuple, a: int, b: int) -> list[int]:
-    """The former list body of promotion._pr_flat: W reads each in-window
-    entry below b, and 0 for all others, the settled travelers too."""
+    """The former list body of pr's kernel, now promotion._slide's direction
+    0: W reads each in-window entry below b, and 0 for all others, the
+    settled travelers too."""
     if b not in E:
         return [e + 1 if a <= e < b else e for e in E]
     left, above, movers = tables[0]
@@ -266,8 +268,9 @@ def pr_flat_reference(E: list[int], tables: tuple, a: int, b: int) -> list[int]:
 
 
 def pr_inv_flat_reference(E: list[int], tables: tuple, a: int, b: int) -> list[int]:
-    """The former list body of promotion._pr_inv_flat: W reads each a as b,
-    each other in-window entry less 1, and b + 1 for all others."""
+    """The former list body of pr_inv's kernel, now promotion._slide's
+    direction 1: W reads each a as b, each other in-window entry less 1,
+    and b + 1 for all others."""
     if a not in E:
         return [e - 1 if a < e <= b else e for e in E]
     right, below, movers = tables[1]
@@ -290,15 +293,15 @@ def pr_inv_flat_reference(E: list[int], tables: tuple, a: int, b: int) -> list[i
 
 
 def promotion_relations_reference(T: Rows, n: int) -> SuiteResult:
-    """The former body of verify.promotion_relations, calling the kernels
-    that promotion binds: every relation runs the kernels on the flat bytes
+    """The former body of verify.promotion_relations, calling the slide
+    that promotion binds: every relation runs the slide on the flat bytes
     of T and of its images, and an image is checked to be semistandard on the first level, on a
     commutation's left side and wherever its relation fails."""
     if not tableaux.validate_ssyt(T):
         raise ValueError(f"not a semistandard tableau: {T}")
     tables = promotion._tables(tuple(map(len, T)))
     is_ssyt = tables[3]
-    pr, pr_inv = promotion._pr_flat, promotion._pr_inv_flat
+    pr, pr_inv = (partial(promotion._slide, d=d) for d in (0, 1))
 
     def differs(U: bytes, V: bytes, name: str = "promotion") -> bool:
         if U == V:

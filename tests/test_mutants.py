@@ -14,11 +14,12 @@ branching looks up ab_sequences, _reduced, _reinserted, _chain_step,
 _staircase_prefixes, _suc_chain and column_product, and crystal
 ab_sequences and _dominance_step, by name.  Some globals are bound in
 more than one module, and a fault of one patches each binding: the
-promotion kernels _pr_flat and _pr_inv_flat in (promotion, verify); the
-one column pass, column_pass, which tableaux.column_product and
-branching._chain_step call, in (tableaux, branching); and the one search,
-chains, which tableaux's enumerators, branching.staircase_search and
-crystal.dominant_columns call, in (tableaux, crystal, branching).
+promotion slide _slide, pr's in direction 0 and pr_inv's in direction 1,
+in (promotion, verify); the one column pass, column_pass, which
+tableaux.column_product and branching._chain_step call, in (tableaux,
+branching); and the one search, chains, which tableaux's enumerators,
+branching.staircase_search and crystal.dominant_columns call, in
+(tableaux, crystal, branching).
 Each fault is derived inside its own test, so an edit that no longer
 applies fails that fault's test with its name.
 The cold_caches fixture empties every table the library keeps, so that a
@@ -30,11 +31,12 @@ or a hang is a miss.  The suc loop's faults, in branching's _suc_chain and
 the column_product it calls, run that loop on every tableau of the walk,
 in place of verify's staircase_search; the one in its column insertion
 needs 6 boxes, and is detected instead when verify_sweep(2, 6) fails.  The
-promotion kernels' faults are detected instead when
+slide's faults, each confined to one direction but for one that makes a
+direction read the other's tables, are detected instead when
 promotion_suite_exhaustive(2, 4) or promotion_suite_random(3, 50, 7)
-reports a failure or raises the kernels' "broke semistandardness"
+reports a failure or raises the slide's "broke semistandardness"
 ValueError; pr moving an entry on a one-letter window, on which no suite
-runs a kernel, when a kernel, pr or pr_inv does not fix a tableau of
+runs the slide, when the slide, pr or pr_inv does not fix a tableau of
 _promotion_cases on some window [a, a]; a wrong phi, when bijection_suite
 fails on a report of the two sweeps.  The sweep's oracle is
 littlewood_branching, so a fault in the strip transfer, king_rows or
@@ -85,7 +87,7 @@ REDUCED = branching._reduced
 REINSERTED = branching._reinserted
 COLUMN_PASS = tableaux.column_pass
 CHAINS = tableaux.chains
-PR_FLAT = promotion._pr_flat
+SLIDE = promotion._slide
 PHI = verify.phi
 
 
@@ -144,16 +146,16 @@ def _search_by_suc_chain(lam, n):
             yield cols, P, is_a, is_b
 
 
-def _pr_flat_on_a_shrunk_window(E, tables, a, b):
-    return PR_FLAT(E, tables, a, b - 1 if b - a >= 2 else b)
+def _pr_on_a_shrunk_window(E, tables, a, b, d):
+    return SLIDE(E, tables, a, b - 1 if d == 0 and b - a >= 2 else b, d)
 
 
-def _pr_flat_on_1_5_for_1_2(E, tables, a, b):
-    return PR_FLAT(E, tables, 1, 5) if (a, b) == (1, 2) else PR_FLAT(E, tables, a, b)
+def _pr_on_1_5_for_1_2(E, tables, a, b, d):
+    return SLIDE(E, tables, 1, 5, d) if (a, b, d) == (1, 2, 0) else SLIDE(E, tables, a, b, d)
 
 
-def _pr_flat_on_a_one_letter_window_as_on_two(E, tables, a, b):
-    return PR_FLAT(E, tables, a, a + 1) if a == b else PR_FLAT(E, tables, a, b)
+def _pr_on_a_one_letter_window_as_on_two(E, tables, a, b, d):
+    return SLIDE(E, tables, a, a + 1, d) if (a, d) == (b, 0) else SLIDE(E, tables, a, b, d)
 
 
 def _phi_fixing_a_dominant_tableau(T, n):
@@ -306,36 +308,41 @@ DETECTED = {
     ),
     "pr moving left on a tie": (
         (promotion, verify),
-        "_pr_flat",
-        ("if lv > uv:", "if lv > uv or lv == uv > 0:"),
+        "_slide",
+        ("if fv > sv:", "if fv > sv or d == 0 and fv == sv > 0:"),
     ),
     "pr with its movers reversed": (
         (promotion, verify),
-        "_pr_flat",
-        ("for i in movers:", "for i in movers[::-1]:"),
+        "_slide",
+        ("for i in movers:", "for i in movers[::-1] if d == 0 else movers:"),
     ),
     "pr_inv moving right on a tie": (
         (promotion, verify),
-        "_pr_inv_flat",
-        ("if rv < dv:", "if rv < dv or rv == dv < out:"),
+        "_slide",
+        ("if fv > sv:", "if fv > sv or d == 1 and fv == sv > 0:"),
+    ),
+    "pr_inv reading pr's neighbour tables and mover order": (
+        (promotion, verify),
+        "_slide",
+        ("tables[d]", "tables[0]"),
     ),
     "pr on the window shrunk to (a, b - 1) when b - a >= 2": (
         (promotion, verify),
-        "_pr_flat",
-        _pr_flat_on_a_shrunk_window,
+        "_slide",
+        _pr_on_a_shrunk_window,
     ),
     "pr on the window (1, 5) for (1, 2)": (
         (promotion, verify),
-        "_pr_flat",
-        _pr_flat_on_1_5_for_1_2,
+        "_slide",
+        _pr_on_1_5_for_1_2,
     ),
     # pr on [a, a + 1] for [a, a]: the suites cannot see it, since
-    # promotion_relations answers a one-letter window without a kernel call
+    # promotion_relations answers a one-letter window without a slide
     # and phi, psi and res_via_promotion have none.
     ONE_LETTER_FAULT: (
         (promotion, verify),
-        "_pr_flat",
-        _pr_flat_on_a_one_letter_window_as_on_two,
+        "_slide",
+        _pr_on_a_one_letter_window_as_on_two,
     ),
     "phi fixing the dominant tableau [[1, 1], [2]]": (
         verify,
@@ -452,14 +459,13 @@ def _six_box_sweep_fails() -> bool:
 
 
 def _a_one_letter_window_moves_an_entry() -> bool:
-    """Some case of _promotion_cases that a kernel, or pr or pr_inv, does
-    not fix on some one-letter window [a, a], a <= 2n + 1."""
-    kernels = (promotion._pr_flat, promotion._pr_inv_flat)
+    """Some case of _promotion_cases that the slide in either direction, or
+    pr or pr_inv, does not fix on some one-letter window [a, a], a <= 2n + 1."""
     for T, n in _promotion_cases():
         tables = promotion._tables(tuple(map(len, T)))
         E = bytes(e for row in T for e in row)
         for a in range(1, 2 * n + 2):
-            if any(kernel(E, tables, a, a) != E for kernel in kernels):
+            if any(promotion._slide(E, tables, a, a, d) != E for d in (0, 1)):
                 return True
             if promotion.pr(T, a, a) != T or promotion.pr_inv(T, a, a) != T:
                 return True
@@ -469,8 +475,7 @@ def _a_one_letter_window_moves_an_entry() -> bool:
 # The check that sees a fault of these globals, or of this named fault; the
 # sweeps see the others.
 CHECKS = {
-    "_pr_flat": _promotion_suites_fail,
-    "_pr_inv_flat": _promotion_suites_fail,
+    "_slide": _promotion_suites_fail,
     "phi": _bijection_suites_fail,
     LAST_COLUMN_FAULT: _six_box_sweep_fails,
     ONE_LETTER_FAULT: _a_one_letter_window_moves_an_entry,
@@ -574,13 +579,13 @@ def _promotion_cases() -> list:
 
 def test_the_kernels_fix_every_tableau_on_a_one_letter_window():
     """pr and pr_inv on [a, a] are the identity, flat and on rows, so
-    promotion_relations may answer a one-letter window without a kernel."""
+    promotion_relations may answer a one-letter window without a slide."""
     assert not _a_one_letter_window_moves_an_entry()
 
 
 # The tableaux of _promotion_cases on which promotion_relations raises, and
 # its failures on the others (the exhaustive ones + the drawn ones), with
-# the true kernels (None) and each kernel fault that gives wrong values.
+# the true slide (None) and each slide fault that gives wrong values.
 PROMOTION_OUTCOMES = {
     None: (0, 0),
     "pr moving left on a tie": (64, 5),
@@ -595,7 +600,7 @@ PROMOTION_OUTCOMES = {
 def test_promotion_relations_match_their_former_body(name, monkeypatch, cold_caches):
     """The interned body gives the same check count and the same failures,
     in order, or raises the same ValueError, as the former body on every
-    case, with the true kernels and under each value-level kernel fault."""
+    case, with the true slide and under each value-level slide fault."""
     if name is not None:
         _patch(monkeypatch, name, *DETECTED[name])
 

@@ -1,6 +1,7 @@
 """Jeu de taquin, rectification, restriction, and window promotion."""
 
 import random
+from collections import Counter
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -335,12 +336,12 @@ def test_promotion_relations_catch_a_faulty_pr(monkeypatch):
     T = [[1, 2, 3], [2, 4], [5]]
     good = verify.promotion_relations(T, 3)
     assert good.passed and good.checked == 117
-    kernel = verify._pr_flat
+    slide = verify._slide
 
-    def faulty_pr(E, tables, a, b):
-        return kernel(E, tables, 1, 5) if (a, b) == (1, 2) else kernel(E, tables, a, b)
+    def faulty_pr(E, tables, a, b, d):
+        return slide(E, tables, 1, 5, d) if (a, b, d) == (1, 2, 0) else slide(E, tables, a, b, d)
 
-    monkeypatch.setattr(verify, "_pr_flat", faulty_pr)
+    monkeypatch.setattr(verify, "_slide", faulty_pr)
     bad = verify.promotion_relations(T, 3)
     assert bad.checked == 117
     for kind in ("pr roundtrip fails", "not an involution", "do not commute", "composition"):
@@ -353,46 +354,44 @@ def test_promotion_relations_catch_a_faulty_pr(monkeypatch):
     ids=["first-level", "commutation", "composition"],
 )
 def test_promotion_relations_check_the_images(monkeypatch, source, window):
-    """A kernel whose image, on window, of T (source None) or of T's pr image
-    on source is all zeros.  Only the first level, resp. the commutation
+    """A slide whose pr image, on window, of T (source None) or of T's pr
+    image on source is all zeros.  Only the first level, resp. the commutation
     (c - b >= 2) or the composition family, computes that image, and the
     suite must raise as pr would."""
     T = [[1, 2, 3], [2, 4], [5]]
     E = bytes([1, 2, 3, 2, 4, 5])
-    kernel = verify._pr_flat
+    slide = verify._slide
     tables = promotion._tables((3, 2, 1))
-    target = E if source is None else kernel(E, tables, *source)
+    target = E if source is None else slide(E, tables, *source, 0)
     windows = list(combinations_with_replacement(range(1, 7), 2))
-    images = [f(E, tables, *w) for f in (kernel, verify._pr_inv_flat) for w in windows]
+    images = [slide(E, tables, *w, d) for d in (0, 1) for w in windows]
     assert source is None or images.count(target) == 1
 
-    def faulty_pr(U, tables, a, b):
-        return bytes(len(U)) if (U, (a, b)) == (target, window) else kernel(U, tables, a, b)
+    def faulty_pr(U, tables, a, b, d):
+        if (U, (a, b), d) == (target, window, 0):
+            return bytes(len(U))
+        return slide(U, tables, a, b, d)
 
-    monkeypatch.setattr(verify, "_pr_flat", faulty_pr)
+    monkeypatch.setattr(verify, "_slide", faulty_pr)
     with pytest.raises(ValueError, match="^promotion broke semistandardness$"):
         verify.promotion_relations(T, 3)
 
 
 def test_promotion_relations_run_each_kernel_input_once(monkeypatch, cold_caches):
-    """Each image of T is computed once per kernel and window: no (kernel,
-    entries, a, b) input repeats within one call, none has a one-letter
-    window, which the memo answers with T's own id, and the check count stays
-    38 at n = 2 and 117 at n = 3.  A second call on T gives the same result,
-    and the only library caches that grow are promotion._tables, by one
-    entry per new shape, and promotion._window_maps, by one entry per window
-    not seen before."""
+    """Each image of T is computed once per direction and window: no
+    (direction, entries, a, b) input repeats within one call, none has a
+    one-letter window, which the memo answers with T's own id, and the
+    check count stays 38 at n = 2 and 117 at n = 3.  A second call on T
+    gives the same result, and the only library caches that grow are
+    promotion._tables, by one entry per new shape, and
+    promotion._window_maps, by one entry per window not seen before."""
     inputs = []
 
-    def recorded(kernel):
-        def run(E, tables, a, b):
-            inputs.append((kernel, tuple(E), a, b))
-            return kernel(E, tables, a, b)
+    def recorded(E, tables, a, b, d):
+        inputs.append((d, tuple(E), a, b))
+        return promotion._slide(E, tables, a, b, d)
 
-        return run
-
-    monkeypatch.setattr(verify, "_pr_flat", recorded(promotion._pr_flat))
-    monkeypatch.setattr(verify, "_pr_inv_flat", recorded(promotion._pr_inv_flat))
+    monkeypatch.setattr(verify, "_slide", recorded)
     rng = random.Random(7)
     cases = [(T, 2) for lam in enumerate_partitions(3, 4) for T in enumerate_ssyt(lam, 4)]
     cases += [(random_ssyt(random_shape(8, 6, rng), 6, rng), 3) for _ in range(20)]
@@ -428,22 +427,26 @@ def test_the_per_shape_check_is_validate_ssyt():
 
 
 def test_the_bytes_kernels_are_the_list_kernels():
-    """_pr_flat and _pr_inv_flat on bytes give the former list kernels'
-    images on every tableau of (2, <= 6) and (3, <= 5), over every window
-    [a, b] of [1, 2n], one-letter windows included."""
-    pairs = 0
-    for n, size in ((2, 6), (3, 5)):
+    """_slide on bytes gives the former list kernels' images, pr's in
+    direction 0 and pr_inv's in direction 1, on every tableau of (2, <= 6)
+    and (3, <= 5), over every window [a, b] of [1, 2n], one-letter windows
+    included; and at the top of the byte range, on every tableau of
+    (4, <= 3) with its entries shifted up by 246 into [247, 254], over
+    every window inside [247, 254]."""
+    pairs = Counter()
+    for n, size, shift in ((2, 6, 0), (3, 5, 0), (4, 3, 246)):
         for lam in enumerate_partitions(size, 2 * n):
             tables = promotion._tables(lam)
             for T in enumerate_ssyt(lam, 2 * n):
-                E = [e for row in T for e in row]
-                for a, b in combinations_with_replacement(range(1, 2 * n + 1), 2):
-                    got = promotion._pr_flat(bytes(E), tables, a, b)
-                    assert list(got) == pr_flat_reference(E, tables, a, b), (T, a, b)
-                    got = promotion._pr_inv_flat(bytes(E), tables, a, b)
-                    assert list(got) == pr_inv_flat_reference(E, tables, a, b), (T, a, b)
-                    pairs += 1
-    assert pairs == 63812
+                E = [e + shift for row in T for e in row]
+                letters = range(1 + shift, 2 * n + 1 + shift)
+                for a, b in combinations_with_replacement(letters, 2):
+                    got = promotion._slide(bytes(E), tables, a, b, 0)
+                    assert list(got) == pr_flat_reference(E, tables, a, b), (T, shift, a, b)
+                    got = promotion._slide(bytes(E), tables, a, b, 1)
+                    assert list(got) == pr_inv_flat_reference(E, tables, a, b), (T, shift, a, b)
+                    pairs[shift] += 1
+    assert pairs == {0: 63812, 246: 15012}
 
 
 LETTER_LIMIT_CALLS = {
@@ -466,7 +469,7 @@ LETTER_LIMIT_CALLS = {
 @pytest.mark.parametrize("name", sorted(LETTER_LIMIT_CALLS))
 def test_promotion_names_its_letter_limit(name):
     """A window end or an entry above 254 raises a ValueError that names the
-    limit, before any kernel runs: pr_inv's sentinel b + 1 must be a byte."""
+    limit, before the slide runs."""
     for op, *args in LETTER_LIMIT_CALLS[name]:
         with pytest.raises(ValueError, match="^promotion runs on the letters 1 to 254$"):
             op(*args)
