@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter, namedtuple
+from functools import cache
 from itertools import accumulate
 
 from .branching import staircase_search
@@ -168,65 +169,64 @@ def bijection_suite(report: VerificationReport) -> SuiteResult:
     return out
 
 
+@cache
+def _relations(N: int) -> tuple:
+    """The windows [a, b] of [1, N], then promotion_relations' families on their
+    numbers in nested-loop order: roundtrip, every window; involution, (a, a + 1);
+    distant, (a, b), (c, d) with c >= b + 2; composition, (a, b), (b, c), (a, c)."""
+    windows = tuple((a, b) for a in range(1, N + 1) for b in range(a, N + 1))
+    k = {w: i for i, w in enumerate(windows)}
+    involution = tuple(k[a, a + 1] for a in range(1, N))
+    distant = tuple((v, w) for v, (_, b) in enumerate(windows)
+                    for w, (c, _) in enumerate(windows) if c >= b + 2)
+    composition = tuple((k[a, b], k[b, c], k[a, c]) for a, b in windows for c in range(b, N + 1))
+    return windows, tuple(range(len(windows))), involution, distant, composition
+
+
 def promotion_relations(T: Rows, n: int) -> SuiteResult:
     """Roundtrips, involutivity on adjacent windows, commutation of distant
     windows, and composition of overlapping windows, on one semistandard
-    tableau, by the flat slide.  Each distinct image of T gets an id (T's
-    is 0), each direction runs once per image and window of two or more
-    letters (pr and pr_inv fix every tableau on a one-letter window), each
-    new image is checked to be semistandard, raising as pr or pr_inv would,
-    and the relations compare ids."""
+    tableau, by the flat slide, over the K window numbers w of _relations.
+    Each distinct image of T gets an id (T's is 0), compared by the relations;
+    each direction runs once per image i and window of two or more letters,
+    memoised at i * K + w (pr and pr_inv fix every tableau on a one-letter
+    window), and checks each new image as pr or pr_inv would."""
     tables, E = _flat(T, 2 * n)
+    windows, roundtrip, involution, distant, composition = table = _relations(2 * n)
+    K = len(windows)
     images, ids = [E], {E: 0}
 
     def interned(d: int):
-        memo: dict[tuple[int, int, int], int] = {}
+        memo: dict[int, int] = {}
 
-        def image(i: int, a: int, b: int) -> int:
+        def image(i: int, w: int) -> int:
+            a, b = windows[w]
             if a == b:
                 return i
-            if (j := memo.get((i, a, b))) is None:
+            if (j := memo.get(key := i * K + w)) is None:
                 U = _slide(images[i], tables, a, b, d)
-                j = memo[i, a, b] = ids.setdefault(U, len(images))
-                if j == len(images):
+                if (j := ids.get(U)) is None:
                     if not tables[3](U):
                         raise ValueError(f"{_NAMES[d]} broke semistandardness")
+                    j = ids[U] = len(images)
                     images.append(U)
+                memo[key] = j
             return j
 
         return image
 
     pr, pr_inv = interned(0), interned(1)
-    out = SuiteResult()
-    N = 2 * n
-    windows = [(a, b) for a in range(1, N + 1) for b in range(a, N + 1)]
-    up = {w: pr(0, *w) for w in windows}
-    down = {w: pr_inv(0, *w) for w in windows}
-    for a, b in windows:
-        out.checked += 1
-        if pr(down[a, b], a, b) or pr_inv(up[a, b], a, b):
-            out.failures.append(f"pr roundtrip fails at {T} window ({a},{b})")
-    for a in range(1, N):
-        out.checked += 1
-        if pr(up[a, a + 1], a, a + 1):
-            out.failures.append(f"pr_(a,a+1) not an involution at {T}, a={a}")
-    for a, b in windows:
-        for c in range(b + 2, N + 1):
-            for d in range(c, N + 1):
-                out.checked += 1
-                if pr(up[c, d], a, b) != pr(up[a, b], c, d):
-                    out.failures.append(
-                        f"distant windows ({a},{b}),({c},{d}) do not commute at {T}"
-                    )
-    for a in range(1, N + 1):
-        for b in range(a, N + 1):
-            for c in range(b, N + 1):
-                out.checked += 1
-                if pr(up[b, c], a, b) != up[a, c]:
-                    out.failures.append(
-                        f"composition ({a},{b})({b},{c}) != ({a},{c}) at {T}"
-                    )
-    return out
+    up, down = [pr(0, w) for w in roundtrip], [pr_inv(0, w) for w in roundtrip]
+    at = "({},{})".format
+    failures = [f"pr roundtrip fails at {T} window {at(*windows[w])}" for w in roundtrip
+                if pr(down[w], w) or pr_inv(up[w], w)]
+    failures += [f"pr_(a,a+1) not an involution at {T}, a={windows[w][0]}" for w in involution
+                 if pr(up[w], w)]
+    failures += [f"distant windows {at(*windows[v])},{at(*windows[w])} do not commute at {T}"
+                 for v, w in distant if pr(up[w], v) != pr(up[v], w)]
+    failures += [f"composition {at(*windows[u])}{at(*windows[v])} != {at(*windows[w])} at {T}"
+                 for u, v, w in composition if pr(up[v], u) != up[w]]
+    return SuiteResult(sum(map(len, table[1:])), failures)
 
 
 def promotion_suite_exhaustive(n: int, max_size: int) -> SuiteResult:

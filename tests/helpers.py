@@ -5,7 +5,7 @@ from bisect import bisect_right
 from collections import Counter
 from functools import partial
 
-from artifact import branching, characters, crystal, promotion, tableaux
+from artifact import branching, characters, crystal, promotion, tableaux, verify
 from artifact.branching import _recording, _suc_chain, staircase_flags
 from artifact.characters import (
     decompose,
@@ -40,6 +40,7 @@ SWEEP_CACHES = (
     promotion._window_maps,
     tableaux.after,
     tableaux.column_pass,
+    verify._relations,
 )
 
 

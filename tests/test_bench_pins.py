@@ -75,11 +75,13 @@ def test_the_command_line_starts_without_heavy_standard_modules():
 
 def test_the_command_line_starts_with_the_promotion_tables_empty():
     # The benchmark's setup_s times `python -S -c "import artifact.cli"`: a
-    # neighbour table or window map built at import would be timed there.
+    # neighbour table, window map or relation table built at import would be
+    # timed there.
     caches = "artifact.promotion._tables, artifact.promotion._window_maps"
+    caches += ", artifact.verify._relations"
     code = f"import artifact.cli; print(*(f.cache_info().currsize for f in ({caches})))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     command = [sys.executable, "-S", "-c", code]
     done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "0"]
+    assert done.stdout.split() == ["0", "0", "0"]

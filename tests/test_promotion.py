@@ -32,6 +32,7 @@ from helpers import (
     insertion_tableau,
     pr_flat_reference,
     pr_inv_flat_reference,
+    promotion_relations_reference,
     random_shape,
     skew_row_word,
 )
@@ -380,11 +381,12 @@ def test_promotion_relations_check_the_images(monkeypatch, source, window):
 def test_promotion_relations_run_each_kernel_input_once(monkeypatch, cold_caches):
     """Each image of T is computed once per direction and window: no
     (direction, entries, a, b) input repeats within one call, none has a
-    one-letter window, which the memo answers with T's own id, and the
+    one-letter window, which is answered with the image's own id, and the
     check count stays 38 at n = 2 and 117 at n = 3.  A second call on T
     gives the same result, and the only library caches that grow are
-    promotion._tables, by one entry per new shape, and
-    promotion._window_maps, by one entry per window not seen before."""
+    promotion._tables, by one entry per new shape,
+    promotion._window_maps, by one entry per window not seen before, and
+    verify._relations, by one entry per new alphabet."""
     inputs = []
 
     def recorded(E, tables, a, b, d):
@@ -395,7 +397,7 @@ def test_promotion_relations_run_each_kernel_input_once(monkeypatch, cold_caches
     rng = random.Random(7)
     cases = [(T, 2) for lam in enumerate_partitions(3, 4) for T in enumerate_ssyt(lam, 4)]
     cases += [(random_ssyt(random_shape(8, 6, rng), 6, rng), 3) for _ in range(20)]
-    shapes, windows = set(), set()
+    shapes, windows, alphabets = set(), set(), set()
     for T, n in cases:
         sizes = [cached.cache_info().currsize for cached in SWEEP_CACHES]
         inputs.clear()
@@ -408,11 +410,98 @@ def test_promotion_relations_run_each_kernel_input_once(monkeypatch, cold_caches
         new = {
             promotion._tables: int(tuple(map(len, T)) not in shapes),
             promotion._window_maps: len({(a, b) for _, _, a, b in inputs} - windows),
+            verify._relations: int(2 * n not in alphabets),
         }
         shapes.add(tuple(map(len, T)))
+        alphabets.add(2 * n)
         windows.update((a, b) for _, _, a, b in inputs)
         grown = [cached.cache_info().currsize - k for cached, k in zip(SWEEP_CACHES, sizes)]
         assert grown == [new.get(cached, 0) for cached in SWEEP_CACHES], T
+
+
+def test_the_relation_table_is_the_former_loops():
+    """_relations(N) numbers the windows and lists each family in the order
+    of promotion_relations' former nested loops, so the kernels run and the
+    failures come in the same order; the check counts stay 38 at n = 2 and
+    117 at n = 3."""
+    for N in range(2, 13, 2):
+        windows = [(a, b) for a in range(1, N + 1) for b in range(a, N + 1)]
+        distant = [
+            ((a, b), (c, d)) for a, b in windows for c in range(b + 2, N + 1) for d in range(c, N + 1)
+        ]
+        composition = [
+            ((a, b), (b, c), (a, c))
+            for a in range(1, N + 1)
+            for b in range(a, N + 1)
+            for c in range(b, N + 1)
+        ]
+        table = verify._relations(N)
+        assert list(table[0]) == windows, N
+        assert [windows[w] for w in table[1]] == windows, N
+        assert [windows[w] for w in table[2]] == [(a, a + 1) for a in range(1, N)], N
+        assert [(windows[v], windows[w]) for v, w in table[3]] == distant, N
+        assert [tuple(windows[w] for w in t) for t in table[4]] == composition, N
+    assert [sum(map(len, verify._relations(2 * n)[1:])) for n in (2, 3)] == [38, 117]
+
+
+SLIDE = promotion._slide
+
+
+def _pr_on_a_shorter_window(E, tables, a, b, d):
+    """pr on [a, b - 1] for [a, b]: wrong values, no raise."""
+    return SLIDE(E, tables, a, b - (d == 0 and a < b), d)
+
+
+def _pr_inv_zeroing_an_image_with_two_bs(E, tables, a, b, d):
+    """pr_inv's image all zeros when E holds b twice on a two-letter window:
+    a raise on some tableaux only."""
+    if d == 1 and b == a + 1 and E.count(b) >= 2:
+        return bytes(len(E))
+    return SLIDE(E, tables, a, b, d)
+
+
+@pytest.mark.parametrize(
+    "fault, raised, failures",
+    [(_pr_on_a_shorter_window, 0, 10 + 262), (_pr_inv_zeroing_an_image_with_two_bs, 13, 0)],
+)
+def test_promotion_relations_match_their_former_body_at_n_1_and_4(
+    monkeypatch, fault, raised, failures
+):
+    """At n = 1 and 4, alphabets the mutant table does not reach, the body
+    over window numbers gives the former body's check count and failures, in
+    order, or raises its ValueError, under a faulty slide.  Its kernel calls
+    are the former body's on two or more letters, first occurrences only and
+    in the same order (up to the raise, where it raises); the counts show
+    that each fault bites (the 13 tableaux at n = 1, then the 6 at n = 4)."""
+    rng = random.Random(11)
+    cases = [(T, 1) for lam in enumerate_partitions(3, 2) for T in enumerate_ssyt(lam, 2)]
+    cases += [(random_ssyt(random_shape(6, 8, rng), 8, rng), 4) for _ in range(6)]
+    calls = []
+
+    def recorded(E, tables, a, b, d):
+        calls.append((d, E, a, b))
+        return fault(E, tables, a, b, d)
+
+    def outcome(relations, T, n):
+        calls.clear()
+        try:
+            result = relations(T, n)
+        except ValueError as error:
+            return str(error)
+        return result.checked, result.failures
+
+    got = []
+    with monkeypatch.context() as patched:
+        for module in (promotion, verify):
+            patched.setattr(module, "_slide", recorded)
+        for T, n in cases:
+            got.append(outcome(verify.promotion_relations, T, n))
+            ours = calls[:]
+            assert got[-1] == outcome(promotion_relations_reference, T, n), (T, n)
+            former = list(dict.fromkeys(call for call in calls if call[2] < call[3]))
+            assert ours == former[: len(ours) if isinstance(got[-1], str) else None], (T, n)
+    kept = [result[1] for result in got if not isinstance(result, str)]
+    assert (len(got) - len(kept), sum(map(len, kept))) == (raised, failures)
 
 
 def test_the_per_shape_check_is_validate_ssyt():

@@ -152,16 +152,34 @@ def test_budget_boundary():
 
 
 def test_random_suite_draws_the_random_shape_sequence(monkeypatch):
+    # bench/child.py times each tableau by rebinding verify.promotion_relations
+    # to a wrapper of (T, n): the suite must look the name up at call time and
+    # pass exactly those two arguments, by position.
     drawn = []
 
-    def record(T, n):
-        drawn.append(T)
-        return SuiteResult()
+    def record(*args, **kwargs):
+        drawn.append((args, kwargs))
+        return SuiteResult(1)
 
     monkeypatch.setattr(verify, "promotion_relations", record)
-    verify.promotion_suite_random(3, 40, 7)
+    assert verify.promotion_suite_random(3, 40, 7).checked == 40
     rng = random.Random(7)
-    assert drawn == [random_ssyt(random_shape(8, 6, rng), 6, rng) for _ in range(40)]
+    assert drawn == [((random_ssyt(random_shape(8, 6, rng), 6, rng), 3), {}) for _ in range(40)]
+
+
+def test_exhaustive_suite_visits_every_tableau_once(monkeypatch):
+    # The same contract as the random suite's: one call of
+    # verify.promotion_relations(T, n) per tableau, in enumeration order.
+    visited = []
+
+    def record(*args, **kwargs):
+        visited.append((args, kwargs))
+        return SuiteResult(1)
+
+    monkeypatch.setattr(verify, "promotion_relations", record)
+    assert verify.promotion_suite_exhaustive(2, 4).checked == 181
+    tableaux = [T for lam in enumerate_partitions(4, 4) for T in enumerate_ssyt(lam, 4)]
+    assert visited == [((T, 2), {}) for T in tableaux]
 
 
 # sha256 of json.dumps of 200 tableaux drawn as promotion_suite_random draws
