@@ -128,7 +128,6 @@ def b_staircase(mu: Partition, n: int) -> Rows:
     return _constant_rows(mu, ab_sequences(n)[1])
 
 
-@cache
 def _staircase_prefixes(n: int) -> tuple[frozenset[Column], frozenset[Column]]:
     """The columns a[:k], and the columns b[:k], for 1 <= k <= n."""
     return tuple(frozenset(s[:k] for k in range(1, n + 1)) for s in ab_sequences(n))

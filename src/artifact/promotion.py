@@ -1,5 +1,5 @@
-"""Jeu de taquin, rectification, range restriction, promotion, and the
-bijections built from promotion composites.
+"""Jeu de taquin, rectification, range restriction, promotion, the bijections
+built from promotion composites, and the checks of the relations promotion obeys.
 
 Skew and ragged tableaux are dicts mapping boxes (x, y) to an entry, with
 None marking a hole.  Promotion and its inverse slide on the row-major
@@ -226,6 +226,66 @@ def _on_rows(d: int, T: Rows, windows: list[tuple[int, int]]) -> list[Rows]:
             raise ValueError(f"{_NAMES[d]} broke semistandardness")
         images.append([list(E[s:t]) for s, t in tables[2]])
     return images
+
+
+@cache
+def _relation_table(N: int) -> tuple:
+    """The windows [a, b] of [1, N], then the families that relations checks on their
+    numbers in nested-loop order: roundtrip, every window; involution, (a, a + 1);
+    distant, (a, b), (c, d) with c >= b + 2; composition, (a, b), (b, c), (a, c)."""
+    windows = tuple((a, b) for a in range(1, N + 1) for b in range(a, N + 1))
+    k = {w: i for i, w in enumerate(windows)}
+    involution = tuple(k[a, a + 1] for a in range(1, N))
+    distant = tuple((v, w) for v, (_, b) in enumerate(windows)
+                    for w, (c, _) in enumerate(windows) if c >= b + 2)
+    composition = tuple((k[a, b], k[b, c], k[a, c]) for a, b in windows for c in range(b, N + 1))
+    return windows, tuple(range(len(windows))), involution, distant, composition
+
+
+def relations(T: Rows, n: int) -> tuple[int, list[str]]:
+    """The check count and failures of the roundtrips, involutivity on adjacent
+    windows, commutation of distant windows and composition of overlapping
+    windows on one semistandard tableau, by the flat slide, over the K window
+    numbers w of _relation_table.  Each distinct image of T gets an id (T's is
+    0), compared by the relations; each direction runs once per image i and
+    window of two or more letters, memoised at i * K + w (pr and pr_inv fix
+    every tableau on a one-letter window), and checks each new image as pr or pr_inv would."""
+    tables, E = _flat(T, 2 * n)
+    windows, roundtrip, involution, distant, composition = table = _relation_table(2 * n)
+    K = len(windows)
+    images, ids = [E], {E: 0}
+
+    def interned(d: int):
+        memo: dict[int, int] = {}
+
+        def image(i: int, w: int) -> int:
+            a, b = windows[w]
+            if a == b:
+                return i
+            if (j := memo.get(key := i * K + w)) is None:
+                U = _slide(images[i], tables, a, b, d)
+                if (j := ids.get(U)) is None:
+                    if not tables[3](U):
+                        raise ValueError(f"{_NAMES[d]} broke semistandardness")
+                    j = ids[U] = len(images)
+                    images.append(U)
+                memo[key] = j
+            return j
+
+        return image
+
+    pr, pr_inv = interned(0), interned(1)
+    up, down = [pr(0, w) for w in roundtrip], [pr_inv(0, w) for w in roundtrip]
+    at = "({},{})".format
+    failures = [f"pr roundtrip fails at {T} window {at(*windows[w])}" for w in roundtrip
+                if pr(down[w], w) or pr_inv(up[w], w)]
+    failures += [f"pr_(a,a+1) not an involution at {T}, a={windows[w][0]}" for w in involution
+                 if pr(up[w], w)]
+    failures += [f"distant windows {at(*windows[v])},{at(*windows[w])} do not commute at {T}"
+                 for v, w in distant if pr(up[w], v) != pr(up[v], w)]
+    failures += [f"composition {at(*windows[u])}{at(*windows[v])} != {at(*windows[w])} at {T}"
+                 for u, v, w in composition if pr(up[v], u) != up[w]]
+    return sum(map(len, table[1:])), failures
 
 
 def pr_inv(T: Rows, a: int, b: int) -> Rows:

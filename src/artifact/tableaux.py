@@ -129,7 +129,7 @@ def chains(lengths: tuple[int, ...], children: Callable[..., list], root) -> Ite
     in the order of the children lists, which depend on node and length only.
     A depth-first walk on an explicit stack.  A node with one child is no
     branch point, and one that is its own only child fills the rest of its
-    run of equal lengths at once, a test made where a forced run starts."""
+    run of equal lengths at once, wherever a forced run reaches it."""
     last = len(lengths) - 1
     if last < 0:
         yield []
@@ -138,14 +138,12 @@ def chains(lengths: tuple[int, ...], children: Callable[..., list], root) -> Ite
     prefix, levels = [], []  # levels: (the candidates left for node x, x)
     cands = children(root, lengths[0])  # the candidates for node len(prefix)
     while True:
-        if len(cands) == 1 and len(prefix) < last:  # a forced run starts
-            if prefix and cands[0] == prefix[-1]:  # at a node that is its own only child
+        while len(cands) == 1 and len(prefix) < last:  # a forced run
+            x = len(prefix) + 1
+            if prefix and cands[0] == prefix[-1]:  # a node that is its own only child
                 x = min(ends[bisect_right(ends, len(prefix))], last)
-                prefix += cands * (x - len(prefix))
-                cands = children(cands[0], lengths[x])
-            while len(cands) == 1 and len(prefix) < last:
-                prefix.append(cands[0])
-                cands = children(cands[0], lengths[len(prefix)])
+            prefix += cands * (x - len(prefix))
+            cands = children(cands[0], lengths[x])
         if len(prefix) == last:  # the last node: finish the chains at once
             yield from [[*prefix, node] for node in cands]
         else:

@@ -7,13 +7,12 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter, namedtuple
-from functools import cache
 from itertools import accumulate
 
 from .branching import staircase_search
 from .characters import littlewood_branching, sp_dimension
 from .crystal import dominant_columns, wt_ghat, wt_k
-from .promotion import _NAMES, _flat, _slide, phi, psi
+from .promotion import phi, psi, relations
 from .shapes import Partition, canonical, conjugate, enumerate_partitions, format_partition
 from .tableaux import (
     Rows,
@@ -48,8 +47,7 @@ class ModelRow(namedtuple("ModelRow", "mu g_dom khw klw rec oracle")):
 
 
 class VerificationReport(namedtuple(
-    "VerificationReport", "n lam rows sst_total sp_dim_sum dominant highest lowest elapsed",
-    defaults=[0.0],
+    "VerificationReport", "n lam rows sst_total sp_dim_sum dominant highest lowest elapsed"
 )):
     """One shape's five-model rows, dominant tableaux, and highest and lowest (T, P) pairs."""
 
@@ -169,64 +167,9 @@ def bijection_suite(report: VerificationReport) -> SuiteResult:
     return out
 
 
-@cache
-def _relations(N: int) -> tuple:
-    """The windows [a, b] of [1, N], then promotion_relations' families on their
-    numbers in nested-loop order: roundtrip, every window; involution, (a, a + 1);
-    distant, (a, b), (c, d) with c >= b + 2; composition, (a, b), (b, c), (a, c)."""
-    windows = tuple((a, b) for a in range(1, N + 1) for b in range(a, N + 1))
-    k = {w: i for i, w in enumerate(windows)}
-    involution = tuple(k[a, a + 1] for a in range(1, N))
-    distant = tuple((v, w) for v, (_, b) in enumerate(windows)
-                    for w, (c, _) in enumerate(windows) if c >= b + 2)
-    composition = tuple((k[a, b], k[b, c], k[a, c]) for a, b in windows for c in range(b, N + 1))
-    return windows, tuple(range(len(windows))), involution, distant, composition
-
-
 def promotion_relations(T: Rows, n: int) -> SuiteResult:
-    """Roundtrips, involutivity on adjacent windows, commutation of distant
-    windows, and composition of overlapping windows, on one semistandard
-    tableau, by the flat slide, over the K window numbers w of _relations.
-    Each distinct image of T gets an id (T's is 0), compared by the relations;
-    each direction runs once per image i and window of two or more letters,
-    memoised at i * K + w (pr and pr_inv fix every tableau on a one-letter
-    window), and checks each new image as pr or pr_inv would."""
-    tables, E = _flat(T, 2 * n)
-    windows, roundtrip, involution, distant, composition = table = _relations(2 * n)
-    K = len(windows)
-    images, ids = [E], {E: 0}
-
-    def interned(d: int):
-        memo: dict[int, int] = {}
-
-        def image(i: int, w: int) -> int:
-            a, b = windows[w]
-            if a == b:
-                return i
-            if (j := memo.get(key := i * K + w)) is None:
-                U = _slide(images[i], tables, a, b, d)
-                if (j := ids.get(U)) is None:
-                    if not tables[3](U):
-                        raise ValueError(f"{_NAMES[d]} broke semistandardness")
-                    j = ids[U] = len(images)
-                    images.append(U)
-                memo[key] = j
-            return j
-
-        return image
-
-    pr, pr_inv = interned(0), interned(1)
-    up, down = [pr(0, w) for w in roundtrip], [pr_inv(0, w) for w in roundtrip]
-    at = "({},{})".format
-    failures = [f"pr roundtrip fails at {T} window {at(*windows[w])}" for w in roundtrip
-                if pr(down[w], w) or pr_inv(up[w], w)]
-    failures += [f"pr_(a,a+1) not an involution at {T}, a={windows[w][0]}" for w in involution
-                 if pr(up[w], w)]
-    failures += [f"distant windows {at(*windows[v])},{at(*windows[w])} do not commute at {T}"
-                 for v, w in distant if pr(up[w], v) != pr(up[v], w)]
-    failures += [f"composition {at(*windows[u])}{at(*windows[v])} != {at(*windows[w])} at {T}"
-                 for u, v, w in composition if pr(up[v], u) != up[w]]
-    return SuiteResult(sum(map(len, table[1:])), failures)
+    """promotion.relations on one semistandard tableau, as a SuiteResult."""
+    return SuiteResult(*relations(T, n))
 
 
 def promotion_suite_exhaustive(n: int, max_size: int) -> SuiteResult:

@@ -5,7 +5,7 @@ from bisect import bisect_right
 from collections import Counter
 from functools import partial
 
-from artifact import branching, characters, crystal, promotion, tableaux, verify
+from artifact import branching, characters, crystal, promotion, tableaux
 from artifact.branching import _recording, _suc_chain, staircase_flags
 from artifact.characters import (
     decompose,
@@ -34,13 +34,12 @@ SWEEP_CACHES = (
     characters.sp_character,
     characters.skew_lr_count,
     branching._reduced,
-    branching._staircase_prefixes,
     crystal._dominance_step,
+    promotion._relation_table,
     promotion._tables,
     promotion._window_maps,
     tableaux.after,
     tableaux.column_pass,
-    verify._relations,
 )
 
 
@@ -241,7 +240,7 @@ def verify_shape_reference(lam: Partition, n: int) -> VerificationReport:
     ]
     rows = [ModelRow(mu, *(tally[mu] for tally in tallies)) for mu in sorted(set().union(*tallies))]
     sp_dim_sum = sum(m * sp_dimension(mu, n) for mu, m in oracle.items())
-    return VerificationReport(n, lam, rows, total, sp_dim_sum, dominant, highest, lowest)
+    return VerificationReport(n, lam, rows, total, sp_dim_sum, dominant, highest, lowest, 0.0)
 
 
 def pr_flat_reference(E: list[int], tables: tuple, a: int, b: int) -> list[int]:

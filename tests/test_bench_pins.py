@@ -78,10 +78,22 @@ def test_the_command_line_starts_with_the_promotion_tables_empty():
     # neighbour table, window map or relation table built at import would be
     # timed there.
     caches = "artifact.promotion._tables, artifact.promotion._window_maps"
-    caches += ", artifact.verify._relations"
+    caches += ", artifact.promotion._relation_table"
     code = f"import artifact.cli; print(*(f.cache_info().currsize for f in ({caches})))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     command = [sys.executable, "-S", "-c", code]
     done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "0", "0"]
+
+
+def test_the_benchmark_passes_its_self_test():
+    # bench/child.py times the promotion suites by rebinding
+    # verify.promotion_relations, which the name pins above cannot run: the
+    # self-test runs every workload at a tiny size, traced and untraced,
+    # through its correctness gate.  No bytecode is written under bench/.
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-B", str(ROOT / "bench" / "run.py"), "--smoke"]
+    done = subprocess.run(command, env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines()[-1] == "smoke: ok"

@@ -428,13 +428,6 @@ def test_the_reduction_table_holds_at_most_one_entry_per_column():
     assert 0 < branching._reduced.cache_info().currsize <= 2 ** 6
 
 
-def test_the_prefix_table_holds_one_entry_per_n():
-    branching._staircase_prefixes.cache_clear()
-    verify_sweep(3, 6)
-    verify_sweep(2, 4)
-    assert branching._staircase_prefixes.cache_info().currsize == 2
-
-
 def test_highest_lowest_flags():
     assert is_k_highest([[2]], 2)
     assert not is_k_highest([[1]], 2)

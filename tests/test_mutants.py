@@ -11,11 +11,11 @@ characters looks up king_modification, skew_key, even_column_lr_count
 _strip_transfer by name at call time; verify_shape calls the
 dominant_columns, staircase_search and count_columns that verify binds;
 branching looks up ab_sequences, _reduced, _reinserted, _chain_step,
-_staircase_prefixes, _suc_chain and column_product, and crystal
-ab_sequences and _dominance_step, by name.  Some globals are bound in
-more than one module, and a fault of one patches each binding: the
-promotion slide _slide, pr's in direction 0 and pr_inv's in direction 1,
-in (promotion, verify); the one column pass, column_pass, which
+_staircase_prefixes, _suc_chain and column_product, crystal ab_sequences
+and _dominance_step, and promotion the slide _slide, pr's in direction 0
+and pr_inv's in direction 1, by name; only promotion binds _slide.  Some
+globals are bound in more than one module, and a fault of one patches
+each binding: the one column pass, column_pass, which
 tableaux.column_product and branching._chain_step call, in (tableaux,
 branching); and the one search, chains, which tableaux's enumerators,
 branching.staircase_search and crystal.dominant_columns call, in
@@ -307,32 +307,32 @@ DETECTED = {
         ("if not cols or", "if not cols or len(cols[0]) <= 2 or"),
     ),
     "pr moving left on a tie": (
-        (promotion, verify),
+        promotion,
         "_slide",
         ("if fv > sv:", "if fv > sv or d == 0 and fv == sv > 0:"),
     ),
     "pr with its movers reversed": (
-        (promotion, verify),
+        promotion,
         "_slide",
         ("for i in movers:", "for i in movers[::-1] if d == 0 else movers:"),
     ),
     "pr_inv moving right on a tie": (
-        (promotion, verify),
+        promotion,
         "_slide",
         ("if fv > sv:", "if fv > sv or d == 1 and fv == sv > 0:"),
     ),
     "pr_inv reading pr's neighbour tables and mover order": (
-        (promotion, verify),
+        promotion,
         "_slide",
         ("tables[d]", "tables[0]"),
     ),
     "pr on the window shrunk to (a, b - 1) when b - a >= 2": (
-        (promotion, verify),
+        promotion,
         "_slide",
         _pr_on_a_shrunk_window,
     ),
     "pr on the window (1, 5) for (1, 2)": (
-        (promotion, verify),
+        promotion,
         "_slide",
         _pr_on_1_5_for_1_2,
     ),
@@ -340,7 +340,7 @@ DETECTED = {
     # promotion_relations answers a one-letter window without a slide
     # and phi, psi and res_via_promotion have none.
     ONE_LETTER_FAULT: (
-        (promotion, verify),
+        promotion,
         "_slide",
         _pr_on_a_one_letter_window_as_on_two,
     ),

@@ -1,5 +1,7 @@
 """Jeu de taquin, rectification, restriction, and window promotion."""
 
+import importlib
+import pkgutil
 import random
 from collections import Counter
 from itertools import combinations_with_replacement, product
@@ -7,6 +9,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import artifact
 from artifact import promotion, verify
 from artifact.promotion import (
     cells_from_rows,
@@ -36,6 +39,9 @@ from helpers import (
     random_shape,
     skew_row_word,
 )
+
+# The slide itself, for the faults and recorders that the tests bind in its place.
+SLIDE = promotion._slide
 
 
 def test_cells_rows_roundtrip():
@@ -337,12 +343,12 @@ def test_promotion_relations_catch_a_faulty_pr(monkeypatch):
     T = [[1, 2, 3], [2, 4], [5]]
     good = verify.promotion_relations(T, 3)
     assert good.passed and good.checked == 117
-    slide = verify._slide
+    slide = promotion._slide
 
     def faulty_pr(E, tables, a, b, d):
         return slide(E, tables, 1, 5, d) if (a, b, d) == (1, 2, 0) else slide(E, tables, a, b, d)
 
-    monkeypatch.setattr(verify, "_slide", faulty_pr)
+    monkeypatch.setattr(promotion, "_slide", faulty_pr)
     bad = verify.promotion_relations(T, 3)
     assert bad.checked == 117
     for kind in ("pr roundtrip fails", "not an involution", "do not commute", "composition"):
@@ -361,7 +367,7 @@ def test_promotion_relations_check_the_images(monkeypatch, source, window):
     suite must raise as pr would."""
     T = [[1, 2, 3], [2, 4], [5]]
     E = bytes([1, 2, 3, 2, 4, 5])
-    slide = verify._slide
+    slide = promotion._slide
     tables = promotion._tables((3, 2, 1))
     target = E if source is None else slide(E, tables, *source, 0)
     windows = list(combinations_with_replacement(range(1, 7), 2))
@@ -373,7 +379,7 @@ def test_promotion_relations_check_the_images(monkeypatch, source, window):
             return bytes(len(U))
         return slide(U, tables, a, b, d)
 
-    monkeypatch.setattr(verify, "_slide", faulty_pr)
+    monkeypatch.setattr(promotion, "_slide", faulty_pr)
     with pytest.raises(ValueError, match="^promotion broke semistandardness$"):
         verify.promotion_relations(T, 3)
 
@@ -386,14 +392,14 @@ def test_promotion_relations_run_each_kernel_input_once(monkeypatch, cold_caches
     gives the same result, and the only library caches that grow are
     promotion._tables, by one entry per new shape,
     promotion._window_maps, by one entry per window not seen before, and
-    verify._relations, by one entry per new alphabet."""
+    promotion._relation_table, by one entry per new alphabet."""
     inputs = []
 
     def recorded(E, tables, a, b, d):
         inputs.append((d, tuple(E), a, b))
-        return promotion._slide(E, tables, a, b, d)
+        return SLIDE(E, tables, a, b, d)
 
-    monkeypatch.setattr(verify, "_slide", recorded)
+    monkeypatch.setattr(promotion, "_slide", recorded)
     rng = random.Random(7)
     cases = [(T, 2) for lam in enumerate_partitions(3, 4) for T in enumerate_ssyt(lam, 4)]
     cases += [(random_ssyt(random_shape(8, 6, rng), 6, rng), 3) for _ in range(20)]
@@ -410,7 +416,7 @@ def test_promotion_relations_run_each_kernel_input_once(monkeypatch, cold_caches
         new = {
             promotion._tables: int(tuple(map(len, T)) not in shapes),
             promotion._window_maps: len({(a, b) for _, _, a, b in inputs} - windows),
-            verify._relations: int(2 * n not in alphabets),
+            promotion._relation_table: int(2 * n not in alphabets),
         }
         shapes.add(tuple(map(len, T)))
         alphabets.add(2 * n)
@@ -420,7 +426,7 @@ def test_promotion_relations_run_each_kernel_input_once(monkeypatch, cold_caches
 
 
 def test_the_relation_table_is_the_former_loops():
-    """_relations(N) numbers the windows and lists each family in the order
+    """_relation_table(N) numbers the windows and lists each family in the order
     of promotion_relations' former nested loops, so the kernels run and the
     failures come in the same order; the check counts stay 38 at n = 2 and
     117 at n = 3."""
@@ -435,16 +441,31 @@ def test_the_relation_table_is_the_former_loops():
             for b in range(a, N + 1)
             for c in range(b, N + 1)
         ]
-        table = verify._relations(N)
+        table = promotion._relation_table(N)
         assert list(table[0]) == windows, N
         assert [windows[w] for w in table[1]] == windows, N
         assert [windows[w] for w in table[2]] == [(a, a + 1) for a in range(1, N)], N
         assert [(windows[v], windows[w]) for v, w in table[3]] == distant, N
         assert [tuple(windows[w] for w in t) for t in table[4]] == composition, N
-    assert [sum(map(len, verify._relations(2 * n)[1:])) for n in (2, 3)] == [38, 117]
+    assert [sum(map(len, promotion._relation_table(2 * n)[1:])) for n in (2, 3)] == [38, 117]
 
 
-SLIDE = promotion._slide
+def test_only_promotion_binds_its_byte_images():
+    """The slide, its tables and its flat form are promotion's alone, so one
+    patch of promotion._slide reaches every caller: no other artifact module
+    binds those names, or any other private name of promotion."""
+    private = {
+        id(value)
+        for name, value in vars(promotion).items()
+        if name.startswith("_") and not name.startswith("__")
+    }
+    kernel = {"_slide", "_flat", "_tables", "_window_maps", "_NAMES"}
+    assert kernel <= set(vars(promotion))
+    for info in pkgutil.iter_modules(artifact.__path__):
+        if info.name != "promotion":
+            module = importlib.import_module(f"artifact.{info.name}")
+            assert not kernel & set(vars(module)), info.name
+            assert not private & set(map(id, vars(module).values())), info.name
 
 
 def _pr_on_a_shorter_window(E, tables, a, b, d):
@@ -492,8 +513,7 @@ def test_promotion_relations_match_their_former_body_at_n_1_and_4(
 
     got = []
     with monkeypatch.context() as patched:
-        for module in (promotion, verify):
-            patched.setattr(module, "_slide", recorded)
+        patched.setattr(promotion, "_slide", recorded)
         for T, n in cases:
             got.append(outcome(verify.promotion_relations, T, n))
             ours = calls[:]
