@@ -9,7 +9,7 @@ chain at which the box disappeared from the shape.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import cache
+from functools import cache, reduce
 
 from .crystal import (
     ab_sequences,
@@ -128,7 +128,7 @@ def b_staircase(mu: Partition, n: int) -> Rows:
     return _constant_rows(mu, ab_sequences(n)[1])
 
 
-def _staircase_prefixes(n: int) -> tuple[frozenset[Column], frozenset[Column]]:
+def staircase_prefixes(n: int) -> tuple[frozenset[Column], frozenset[Column]]:
     """The columns a[:k], and the columns b[:k], for 1 <= k <= n."""
     return tuple(frozenset(s[:k] for k in range(1, n + 1)) for s in ab_sequences(n))
 
@@ -137,7 +137,7 @@ def staircase_flags(P: list[Column], n: int) -> tuple[bool, bool]:
     """Whether the tableau with columns P has row y constantly a_y, resp. b_y:
     whether every column of P is a prefix of a, resp. b, of at most n
     entries.  The empty P is both."""
-    A, B = _staircase_prefixes(n)
+    A, B = staircase_prefixes(n)
     return A.issuperset(P), B.issuperset(P)
 
 
@@ -159,29 +159,46 @@ def _chain_step(state: tuple, col: Column, prefixes: tuple) -> tuple | None:
     return (tuple(moved), True, hi, lo, col) if hi or lo else None
 
 
-def staircase_search(lam: Partition, n: int) -> Iterator[tuple]:
+STAIRCASE_ROOT = ((), ((), False, True, True, ()), None)  # (column, state, parent)
+
+
+def staircase_leaves(leaves: list[tuple], k: int, n: int, prefixes: tuple) -> list[tuple]:
+    """The leaves' children, in order: (col, state, leaf) for each col of
+    after(leaf's column, k, 2n) whose _chain_step state is not None."""
+    return [
+        (col, s, node)
+        for node in leaves
+        for col in after(node[0], k, 2 * n)
+        if (s := _chain_step(node[1], col, prefixes))
+    ]
+
+
+def staircase_search(lam: Partition, n: int, leaves=None, prefixes=None) -> Iterator[tuple]:
     """(T, P, is_a, is_b) as column lists for the T of enumerate_columns(lam,
-    2n), in order, whose P is a staircase: chains of (column, _chain_step
-    state) nodes over after, each finished by feeding () while an entry is in
-    flight, after which a last level not yet P is the empty P; RuntimeError
-    past |T| + 1 levels."""
-    prefixes = _staircase_prefixes(n)
-
-    def children(node: tuple, k: int) -> list[tuple]:
-        left, state = node
-        return [
-            (col, s) for col in after(left, k, 2 * n) if (s := _chain_step(state, col, prefixes))
-        ]
-
-    root = ((), ((), False, True, True, ()))
-    for chain in chains(conjugate(canonical(lam)), children, root):
-        T, states = [col for col, _ in chain], [s for _, s in [root, *chain]]
-        while (state := states[-1]) and any(state[0]):
-            if len(state[0]) > sum(map(len, T)) + 1:
+    2n), in order, whose P is a staircase, from lam's leaves of the walk
+    from STAIRCASE_ROOT over staircase_leaves: a sweep's, with its
+    staircase_prefixes(n), or else those a depth-first chains walk makes.
+    Each leaf is finished by feeding () while an entry is in flight, then a
+    last level not yet P is the empty P; T and P are read off the parent
+    links of the leaves that yield.  RuntimeError past |T| + 1 levels."""
+    prefixes = prefixes or staircase_prefixes(n)
+    if leaves is None:
+        children = lambda node, k: [c[:2] for c in staircase_leaves([node], k, n, prefixes)]
+        walk = chains(conjugate(canonical(lam)), children, STAIRCASE_ROOT)
+        leaves = (reduce(lambda up, node: (*node, up), chain, STAIRCASE_ROOT) for chain in walk)
+    for leaf in leaves:
+        state, finished = leaf[1], []
+        while state and any(state[0]):
+            if len(state[0]) > sum(lam) + 1:
                 raise RuntimeError("suc did not stabilize within the size budget")
-            states.append(_chain_step(state, (), prefixes))
+            state = _chain_step(state, (), prefixes)
+            finished.append(state)
         if state:
-            yield T, [s[4] for s in states if s[4]], state[2], state[3]
+            path = [leaf]
+            while path[-1][2]:
+                path.append(path[-1][2])
+            T, walked, _ = zip(*path[::-1])
+            yield list(T[1:]), [s[4] for s in walked + tuple(finished) if s[4]], *state[2:4]
 
 
 def p_aii_range(T: Rows, a: int, b: int) -> Rows:

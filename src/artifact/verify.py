@@ -9,7 +9,7 @@ import time
 from collections import Counter, namedtuple
 from itertools import accumulate
 
-from .branching import staircase_search
+from .branching import STAIRCASE_ROOT, staircase_leaves, staircase_prefixes, staircase_search
 from .characters import littlewood_branching, sp_dimension
 from .crystal import dominant_columns, wt_ghat, wt_k
 from .promotion import phi, psi, relations
@@ -63,15 +63,15 @@ class VerificationReport(namedtuple(
         return self.dim_ok and all(row.ok for row in self.rows)
 
 
-def verify_shape(lam: Partition, n: int) -> VerificationReport:
+def verify_shape(lam: Partition, n: int, *walk) -> VerificationReport:
     """Classify the tableaux of shape lam, count the classes per mu and
     compare with the character oracle; only kept tableaux get rows.  The
     dominant tableaux come from their own pruned search, and the highest
-    and lowest with their P from staircase_search, whose suc chain runs
-    along its walk.  The tableaux are counted by count_columns, not listed."""
+    and lowest with their P from staircase_search, on a sweep's walk (lam's
+    leaves and the prefix sets) if given; count_columns counts the tableaux."""
     start = time.perf_counter()
     dominant = [rows_of(cols) for cols in dominant_columns(lam, n)]
-    found = [(rows_of(T), rows_of(P), a, b) for T, P, a, b in staircase_search(lam, n)]
+    found = [(rows_of(T), rows_of(P), a, b) for T, P, a, b in staircase_search(lam, n, *walk)]
     highest = [(T, P) for T, P, is_highest, _ in found if is_highest]
     lowest = [(T, P) for T, P, _, is_lowest in found if is_lowest]
     oracle = littlewood_branching(lam, n)
@@ -115,10 +115,23 @@ def verify_sweep(n: int, max_size: int, budget: int | None = None) -> list[Verif
     """Verify every shape with at most max_size boxes and 2n rows.
 
     The budget caps the cumulative number of tableaux; it is checked first.
+    Shapes are walked depth first as a trie of column lengths, on a stack:
+    a shape's staircase leaves are its parent's extended by one column, and
+    its report's elapsed covers that extension and its verify_shape.
     """
     shapes = enumerate_partitions(max_size, 2 * n)
     check_budget(shapes, n, budget)
-    return [verify_shape(lam, n) for lam in shapes]
+    reports, prefixes = dict.fromkeys(shapes), staircase_prefixes(n)
+    stack = [((), None)] if shapes else []  # (a shape's column lengths, its parent's leaves)
+    while stack:
+        cols, parent = stack.pop()
+        start = time.perf_counter()
+        leaves = staircase_leaves(parent, cols[-1], n, prefixes) if cols else [STAIRCASE_ROOT]
+        report = verify_shape(conjugate(cols), n, leaves, prefixes)
+        reports[report.lam] = report._replace(elapsed=time.perf_counter() - start)
+        longest = min(cols[-1] if cols else 2 * n, max_size - sum(cols))
+        stack += [(cols + (k,), leaves) for k in range(1, longest + 1)]
+    return list(reports.values())
 
 
 class SuiteResult:

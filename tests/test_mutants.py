@@ -9,15 +9,19 @@ function does, and its difference from the library is its edits.
 characters looks up king_modification, skew_key, even_column_lr_count
 (from skew_lr_count, on a key not yet counted), king_rows, sp_weight and
 _strip_transfer by name at call time; verify_shape calls the
-dominant_columns, staircase_search and count_columns that verify binds;
-branching looks up ab_sequences, _reduced, _reinserted, _chain_step,
-_staircase_prefixes, _suc_chain and column_product, crystal ab_sequences
-and _dominance_step, and promotion the slide _slide, pr's in direction 0
-and pr_inv's in direction 1, by name; only promotion binds _slide.  Some
-globals are bound in more than one module, and a fault of one patches
-each binding: the one column pass, column_pass, which
-tableaux.column_product and branching._chain_step call, in (tableaux,
-branching); and the one search, chains, which tableaux's enumerators,
+dominant_columns, staircase_search and count_columns that verify binds,
+and verify_sweep the staircase_leaves and staircase_prefixes, so that
+every shape's search runs through verify's staircase_search, on the
+leaves that the sweep extended; branching looks up ab_sequences,
+_reduced, _reinserted, _chain_step, staircase_prefixes, _suc_chain and
+column_product, crystal ab_sequences and _dominance_step, and promotion
+the slide _slide, pr's in direction 0 and pr_inv's in direction 1, by
+name; only promotion binds _slide.  Some globals are bound in more than
+one module, and a fault of one patches each binding: the one column pass,
+column_pass, which tableaux.column_product and branching._chain_step
+call, in (tableaux, branching); the prefix table, staircase_prefixes,
+which the single-shape search and the sweep build, in (branching,
+verify); and the one search, chains, which tableaux's enumerators,
 branching.staircase_search and crystal.dominant_columns call, in
 (tableaux, crystal, branching).
 Each fault is derived inside its own test, so an edit that no longer
@@ -78,7 +82,7 @@ REFERENCE = {"king_rows", "sp_weight", "_strip_transfer"}
 # loop, in place of the search, on every tableau of the walk.
 SUC_LOOP = {"_suc_chain", "column_product"}
 SP_WEIGHT = characters.sp_weight
-STAIRCASE_PREFIXES = branching._staircase_prefixes
+STAIRCASE_PREFIXES = branching.staircase_prefixes
 AB_SEQUENCES = branching.ab_sequences
 DOMINANCE_STEP = crystal._dominance_step
 STAIRCASE_SEARCH = verify.staircase_search
@@ -136,9 +140,10 @@ def _column_pass_dropping_its_last_bumped_entry(col, entries):
     return col, bumped[:-1]
 
 
-def _search_by_suc_chain(lam, n):
+def _search_by_suc_chain(lam, n, *walk):
     """staircase_search's output, from branching._suc_chain run on every
-    tableau of enumerate_columns: the sweep's P made by the suc loop."""
+    tableau of enumerate_columns, whatever leaves of the walk a sweep hands
+    it: the sweep's P made by the suc loop."""
     for cols in enumerate_columns(lam, 2 * n):
         P = branching._suc_chain(cols)[-1]
         is_a, is_b = branching.staircase_flags(P, n)
@@ -215,8 +220,8 @@ DETECTED = {
         ("lo and col in prefixes[1]", "lo and (is_p or col in prefixes[1])"),
     ),
     "the staircase prefix table without its n-entry prefixes": (
-        branching,
-        "_staircase_prefixes",
+        (branching, verify),
+        "staircase_prefixes",
         _staircase_prefixes_without_n_entries,
     ),
     "ab_sequences with a and b swapped": (
@@ -259,7 +264,12 @@ DETECTED = {
     "one dropped tableau per shape": (
         verify,
         "staircase_search",
-        lambda lam, n: islice(STAIRCASE_SEARCH(lam, n), 1, None),
+        lambda lam, n, *walk: islice(STAIRCASE_SEARCH(lam, n, *walk), 1, None),
+    ),
+    "the sweep's extension dropping each parent's last leaf": (
+        verify,
+        "staircase_leaves",
+        ("for node in leaves", "for node in leaves[:-1]"),
     ),
     "the tableau count losing one chain": (
         verify,
@@ -289,7 +299,7 @@ DETECTED = {
     "the search's P losing the columns its finish adds": (
         verify,
         "staircase_search",
-        ("for s in states if s[4]", "for s in states[: len(chain) + 1] if s[4]"),
+        (" + tuple(finished)", ""),
     ),
     "the search's finish stepping on until the last level is P": (
         verify,

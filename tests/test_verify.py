@@ -4,8 +4,10 @@ draws of the random promotion suite, and the guards that catch an
 enumeration fault shared by the models and the oracle."""
 
 import hashlib
+import inspect
 import json
 import random
+import sys
 
 import pytest
 
@@ -13,7 +15,7 @@ from artifact import branching, characters, crystal, tableaux, verify
 from artifact.branching import p_aii
 from artifact.crystal import is_ghat_dominant
 from artifact.cli import EXIT_FAIL, EXIT_PASS, main
-from artifact.shapes import canonical, enumerate_partitions, part
+from artifact.shapes import canonical, conjugate, enumerate_partitions, part
 from artifact.tableaux import enumerate_ssyt
 from artifact.verify import (
     BudgetExceeded,
@@ -59,17 +61,26 @@ def test_verify_shape_matches_its_former_body(n, max_size, cold_caches):
 # (n, max_size) -> the sweep's 2n-row shapes, and its nonempty shapes whose
 # complement is in the sweep too.
 IDENTITY_PAIRS = {(2, 12): (53, 93), (3, 8): (4, 19)}
+# (n, max_size) of a sweep -> the sweep at rank n + 1 whose shapes of at most
+# n rows it shares, and how many: those of at most 8 boxes and 2 rows.
+CROSS_RANK_PAIRS = {(2, 12): ((3, 8), 25)}
+
+
+@pytest.fixture(scope="module")
+def identity_rows():
+    """Each shape's rows in each sweep of IDENTITY_PAIRS, swept once."""
+    return {sweep: {r.lam: r.rows for r in verify_sweep(*sweep)} for sweep in IDENTITY_PAIRS}
 
 
 @pytest.mark.parametrize("n, max_size", sorted(IDENTITY_PAIRS))
-def test_rows_obey_the_cross_shape_identities(n, max_size):
+def test_rows_obey_the_cross_shape_identities(n, max_size, identity_rows):
     """Every model's rows, the oracle's too, of one shape equal those of
     another.  The det twist: a 2n-row lam has the rows of lam - 1^2n.
     Duality: lam's complement in the 2n x lam_1 box has the rows of lam.
     The full-column lemma: a 2n-row lam has the staircase search and the
     dominant search of lam - 1^2n, each tableau with the column (1, ..., 2n)
     put first, and P, the flags and the order unchanged."""
-    rows = {report.lam: report.rows for report in verify_sweep(n, max_size)}
+    rows = identity_rows[n, max_size]
     full = tuple(range(1, 2 * n + 1))
     twists = duals = 0
     for lam, got in rows.items():
@@ -86,6 +97,85 @@ def test_rows_obey_the_cross_shape_identities(n, max_size):
             assert crystal.dominant_columns(lam, n) == dominant, lam
             twists += 1
     assert (twists, duals) == IDENTITY_PAIRS[n, max_size]
+
+
+@pytest.mark.parametrize("n, max_size", sorted(CROSS_RANK_PAIRS))
+def test_rows_are_stable_across_ranks(n, max_size, identity_rows, time_bound):
+    """Cross-rank stability: for lam of at most n rows, Littlewood's rule
+    needs no modification at rank n or n + 1 (King 1971; Koike-Terada
+    1987), so every model's rows of lam at n equal those at n + 1."""
+    time_bound(0.5)
+    higher, pairs = CROSS_RANK_PAIRS[n, max_size]
+    low, high = identity_rows[n, max_size], identity_rows[higher]
+    shared = [lam for lam in high if len(lam) <= n and lam in low]
+    for lam in shared:
+        assert low[lam] == high[lam], lam
+    assert len(shared) == pairs
+
+
+def _path(node) -> list:
+    """The (column, state) nodes from the walk's root to node, root excluded."""
+    path = []
+    while node[2]:
+        path.append(node[:2])
+        node = node[2]
+    return path[::-1]
+
+
+@pytest.mark.parametrize("n, max_size", [(2, 12), (3, 8), (4, 7)])
+def test_the_sweep_and_the_single_shape_search_agree(n, max_size, monkeypatch):
+    """verify_sweep extends each shape's staircase leaves from its parent's,
+    and verify_shape walks the shape alone: every report field but the time
+    is the same, and each shape's leaves are the last nodes of a chains walk
+    of (column, state) nodes by the search's children rule, after plus
+    _chain_step, in order, with the same paths."""
+    handed = {}
+    search = verify.staircase_search
+
+    def recording(lam, n, leaves=None, prefixes=None):
+        handed[lam] = leaves
+        return search(lam, n, leaves, prefixes)
+
+    monkeypatch.setattr(verify, "staircase_search", recording)
+    reports = verify_sweep(n, max_size)
+    monkeypatch.setattr(verify, "staircase_search", search)
+    shapes = enumerate_partitions(max_size, 2 * n)
+    assert [r.lam for r in reports] == shapes
+    prefixes = branching.staircase_prefixes(n)
+
+    def children(node, k):
+        left, state = node
+        step = branching._chain_step
+        return [(c, s) for c in tableaux.after(left, k, 2 * n) if (s := step(state, c, prefixes))]
+
+    root = branching.STAIRCASE_ROOT[:2]
+    for report in reports:
+        lam = report.lam
+        assert report._replace(elapsed=0.0) == verify_shape(lam, n)._replace(elapsed=0.0), lam
+        walk = tableaux.chains(conjugate(lam), children, root)
+        assert [_path(leaf) for leaf in handed[lam]] == [list(chain) for chain in walk], lam
+
+
+def test_the_sweep_needs_no_recursion_per_column(time_bound):
+    """The trie of column lengths is walked on an explicit stack: a sweep
+    whose shapes have 60 columns completes with the recursion limit 40
+    frames above the caller's depth."""
+    time_bound(20)
+    limit = sys.getrecursionlimit()
+    depth = len(inspect.stack(0))
+    sys.setrecursionlimit(depth + 40)
+    try:
+        reports = verify_sweep(1, 60)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert all(r.passed for r in reports)
+    assert len(reports) == 961 and reports[len(reports) - 31].lam == (60,)
+
+
+def test_a_sweep_below_size_zero_has_no_shapes():
+    """The trie walk starts at the empty shape only when the sweep has it."""
+    assert verify_sweep(2, -1) == []
+    assert [r.lam for r in verify_sweep(2, 0)] == [()]
 
 
 def test_the_sweep_runs_no_second_suc_chain(monkeypatch):
